@@ -32,6 +32,10 @@ func TestAllocfreeCoversHotPath(t *testing.T) {
 			"greenhetero/internal/profiledb.(DB).AddFeedback",
 			"greenhetero/internal/profiledb.(DB).ProjectionInto",
 		}},
+		"internal/solver": {sites: 1, symbols: []string{
+			"greenhetero/internal/solver.(Warm).Optimize",
+			"greenhetero/internal/solver.(Warm).indexResiduals",
+		}},
 	}
 
 	// 1. Discover the actual AllocsPerRun call sites. The needle is
@@ -88,7 +92,7 @@ func TestAllocfreeCoversHotPath(t *testing.T) {
 	}
 
 	// 2. Every pinned symbol is under the allocfree contract.
-	pkgs, err := lint.Load(root, "./internal/fit", "./internal/profiledb")
+	pkgs, err := lint.Load(root, "./internal/fit", "./internal/profiledb", "./internal/solver")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,90 @@
+package solver
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// FuzzWarmOptimize is the differential proof behind Warm: a seed draws
+// zero to four clamped-quadratic group models (an occasional malformed
+// one, an occasional opaque one without Coeffs), and the remaining
+// inputs pick the supply, grid step and refinement depth. Warm.Optimize
+// must match the reference Optimize bit for bit — fractions, predicted
+// perf, Evaluations and error outcome — on a fresh Warm, on a repeat of
+// the same input (a memo hit when every model declares Coeffs), and on
+// a Warm last used with a different grid step (a residual-index
+// rebuild).
+//
+// Grid steps finer than the 0.005 ablation grid are raised to it: each
+// halving of the step quadruples a 3-group scan, so finer grids buy no
+// coverage per second of fuzzing. Steps Options maps to the default
+// (non-positive, above 0.5, NaN) pass through unchanged.
+func FuzzWarmOptimize(f *testing.F) {
+	f.Add(int64(1), uint8(3), 600.0, 0.01, int8(0))
+	f.Add(int64(2), uint8(3), 900.0, 0.005, int8(-1))
+	f.Add(int64(3), uint8(3), 400.0, 0.3, int8(2))
+	f.Add(int64(4), uint8(3), 1200.0, 0.07, int8(5))
+	f.Add(int64(5), uint8(2), 220.0, 0.01, int8(3))
+	f.Add(int64(6), uint8(1), 500.0, 0.1, int8(1))
+	f.Add(int64(7), uint8(0), 100.0, 0.01, int8(0))
+	f.Add(int64(8), uint8(4), 100.0, 0.01, int8(0))
+	f.Add(int64(9), uint8(3), -5.0, 0.01, int8(0))
+	f.Add(int64(10), uint8(3), 700.0, 0.0, int8(0))
+	f.Add(int64(11), uint8(3), 700.0, 0.75, int8(0))
+	f.Add(int64(12), uint8(3), 700.0, math.NaN(), int8(0))
+	f.Add(int64(13), uint8(3), math.Inf(1), 0.05, int8(1))
+
+	f.Fuzz(func(t *testing.T, seed int64, groups uint8, supply, step float64, passes int8) {
+		if step > 0 && step < 0.005 {
+			step = 0.005
+		}
+		rng := rand.New(rand.NewSource(seed))
+		models := make([]GroupModel, groups%5)
+		for g := range models {
+			idle := 15 + 40*rng.Float64()
+			peak := idle + 20 + 150*rng.Float64()
+			coeffs := []float64{
+				-60 + 80*rng.Float64(),
+				0.5 + 6*rng.Float64(),
+				-0.02 * rng.Float64(),
+			}
+			models[g] = curveModel(1+rng.Intn(10), idle, peak, coeffs)
+			switch rng.Intn(16) {
+			case 0:
+				models[g].Coeffs = nil
+			case 1:
+				models[g].PeakEffW = idle
+			}
+		}
+		o := Options{GridStep: step, RefinePasses: int(passes)}
+
+		want, wantErr := Optimize(models, supply, o)
+		var w Warm
+		check := func(label string) {
+			t.Helper()
+			got, gotErr := w.Optimize(models, supply, o)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s: reference err %v, warm err %v", label, wantErr, gotErr)
+			}
+			if wantErr != nil {
+				if wantErr.Error() != gotErr.Error() {
+					t.Fatalf("%s: reference err %q, warm err %q", label, wantErr, gotErr)
+				}
+				return
+			}
+			resultsBitEqual(t, label, got, want)
+		}
+		check("fresh")
+		check("repeat")
+		// Leave the Warm indexed for another step, then come back.
+		other := Options{GridStep: 0.25}
+		if math.Float64bits(step) == math.Float64bits(other.GridStep) {
+			other.GridStep = 0.1
+		}
+		if _, err := w.Optimize(models, supply, other); (err == nil) != (wantErr == nil) {
+			t.Fatalf("step switch: err %v, reference err %v", err, wantErr)
+		}
+		check("after step switch")
+	})
+}

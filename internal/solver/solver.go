@@ -36,7 +36,11 @@ type GroupModel struct {
 	PeakEffW float64
 	// Perf projects one server's throughput from its allocated power.
 	// It must honor the clamping semantics (0 below IdleW, constant
-	// above PeakEffW); profiledb.Entry.Predict does. The allocfree
+	// above PeakEffW); profiledb.Entry.Predict does. It must also be a
+	// deterministic function of its argument, Coeffs or not: Warm
+	// tabulates groups 0..n-2 once per grid value and the last of three
+	// groups once per distinct residual fraction, reusing one call's
+	// result for every simplex point with that argument. The allocfree
 	// annotation makes the field a verified contract: the solver's hot
 	// loops call Perf millions of times per epoch, so every binding is
 	// statically checked to be allocation-free.
@@ -46,9 +50,8 @@ type GroupModel struct {
 	// Coeffs, when non-nil, declares that Perf is a pure function fully
 	// determined by (IdleW, PeakEffW, Coeffs) — true of a profiledb
 	// projection, whose curve these are the coefficients of. Warm uses
-	// the declaration to memoize solves and tabulate per-group values;
-	// leave nil for opaque Perf functions and Warm degrades to the
-	// reference search.
+	// the declaration to memoize solves; leave nil for opaque Perf
+	// functions and Warm searches afresh on every call.
 	Coeffs []float64
 }
 
@@ -77,7 +80,8 @@ var (
 // Options tune the search.
 type Options struct {
 	// GridStep is the coarse simplex granularity as a fraction of
-	// supply (default 0.01, i.e. 1 %).
+	// supply (default 0.01, i.e. 1 %). A step outside (0, 0.5], NaN
+	// included, selects the default.
 	GridStep float64
 	// RefinePasses is the number of shrinking coordinate-descent passes
 	// (default 3).
@@ -86,7 +90,7 @@ type Options struct {
 
 // ghlint:allocfree
 func (o Options) withDefaults() Options {
-	if o.GridStep <= 0 || o.GridStep > 0.5 {
+	if !(o.GridStep > 0 && o.GridStep <= 0.5) {
 		o.GridStep = 0.01
 	}
 	if o.RefinePasses < 0 {

@@ -7,8 +7,8 @@ import (
 
 // Warm is a reusable solver context for the per-epoch hot path. It is
 // bit-for-bit equivalent to Optimize — same Fractions, PredictedPerf,
-// Evaluations, and errors for every input — but amortizes work across
-// calls two ways:
+// Evaluations, and errors for every input — but amortizes work three
+// ways:
 //
 //   - Memoization: when every model declares Coeffs (its Perf a pure
 //     function of the model fields), the full input — supply, options,
@@ -21,18 +21,24 @@ import (
 //   - Per-group grid tables: on a miss, groups 0..n-2 have their
 //     objective contributions precomputed once per grid value instead of
 //     once per simplex point (the 3-group scan visits each (i,·) row
-//     steps times). The last group's fraction is the simplex remainder
-//     1−f₀−f₁, which is not a grid multiple, so it is evaluated directly
-//     per point; the per-point accumulation replays the reference
-//     objective's additions in order, keeping the totals bit-identical.
+//     steps times).
+//   - A residual table for the last of three groups: its fraction is the
+//     simplex remainder 1−f₀−f₁ (clamped at 0), which depends only on
+//     the grid step and takes far fewer distinct values than there are
+//     points (420 bit patterns for the 5 151 points of the 1 % grid).
+//     The Warm indexes every point to its distinct residual once per
+//     step and evaluates the group once per distinct residual per solve.
 //
-// The grid's tie-breaking is load-bearing: the scan takes the first
-// strict improvement in row-major order, so the warm path must visit
-// points in exactly the reference order — it accelerates evaluation,
-// never reordering or pruning the scan. All search scratch (tables,
-// fraction buffers, the refine vector) is preallocated and reused, so a
-// steady-state call performs a single small allocation: the returned
-// Result's caller-owned Fractions slice.
+// Every table entry is the reference objective's own expression on the
+// reference's own argument, and the scan adds the entries in the
+// reference's order, so every candidate's total is bit-identical. The
+// grid's tie-breaking is load-bearing: the scan takes the first strict
+// improvement in row-major order, so the warm path must visit points in
+// exactly the reference order — it accelerates evaluation, never
+// reordering or pruning the scan. All search scratch (tables, residual
+// index, fraction buffers, the refine vector) is preallocated and
+// reused, so a steady-state call performs a single small allocation:
+// the returned Result's caller-owned Fractions slice.
 //
 // A Warm is not safe for concurrent use; give each goroutine its own.
 // The zero value is ready.
@@ -44,6 +50,16 @@ type Warm struct {
 
 	tables   [][]float64
 	tableBuf []float64
+	// Residual table of the 3-group scan: resIdx maps each grid point
+	// (row-major) to its distinct residual, resBits holds the distinct
+	// residuals' bit patterns in ascending order, and resVal their
+	// objective contributions for the current solve. resStep is the
+	// grid step the index was built for (0, never a valid step, until
+	// the first build).
+	resStep  float64
+	resIdx   []int32
+	resBits  []uint64
+	resVal   []float64
 	fracs    []float64
 	bestBuf  []float64
 	refineFr []float64
@@ -78,8 +94,9 @@ func (w *Warm) Optimize(models []GroupModel, supplyW float64, opts Options) (Res
 		w.memoOK = true
 		return res, nil
 	}
-	// Opaque Perf (no Coeffs declaration): memoization and tabulation
-	// would be unsound, but the buffer-reusing search is still exact.
+	// Opaque Perf (no Coeffs declaration): memoization would be unsound,
+	// since the key cannot capture what Perf reads, but the tabulated
+	// search is still exact — it needs Perf deterministic, not declared.
 	w.memoOK = false
 	return w.solve(models, supplyW, o), nil
 }
@@ -142,22 +159,13 @@ func groupValue(m *GroupModel, f, supplyW float64) float64 {
 }
 
 // gridSearchFast scans the simplex in the reference row-major order,
-// reading groups 0..n-2 from per-grid-value tables and evaluating the
-// last group (the simplex remainder, not a grid multiple) directly.
-// Accumulation replays the reference objective: total starts at zero
-// and adds group contributions in index order, so every candidate's
-// perf is bit-identical and the first-strict-improvement tie-breaking
-// picks the same point.
-//
-// The last group's scan additionally exploits the GroupModel.Perf
-// clamping contract (exactly 0 below IdleW, constant above PeakEffW)
-// plus the monotone decrease of the residual fraction along a row:
-// each row splits into a constant head (per-server power above the
-// effective peak), a fully-evaluated middle, and a zero tail (below
-// idle). Head and tail reuse the contractually constant value instead
-// of re-invoking Perf, and FP monotonicity of the residual expression
-// makes the segment boundaries exact — every point's total is still
-// the reference's bits.
+// reading groups 0..n-2 from per-grid-value tables and, with three
+// groups, the last group from the residual table; with fewer groups the
+// last group's fraction is evaluated directly. Accumulation replays the
+// reference objective: total starts at zero and adds group
+// contributions in index order, so every candidate's perf is
+// bit-identical and the first-strict-improvement tie-breaking picks the
+// same point.
 //
 // ghlint:allocfree
 func (w *Warm) gridSearchFast(s *search, step float64) candidate {
@@ -203,69 +211,110 @@ func (w *Warm) gridSearchFast(s *search, step float64) candidate {
 		}
 	case 3:
 		t0, t1 := w.tables[0], w.tables[1]
+		w.indexResiduals(steps, step)
 		m2 := &s.models[2]
-		c2 := float64(m2.Count)
+		if cap(w.resVal) < len(w.resBits) {
+			w.resVal = make([]float64, len(w.resBits))
+		}
+		v2 := w.resVal[:len(w.resBits)]
+		for d, b := range w.resBits {
+			v2[d] = groupValue(m2, math.Float64frombits(b), s.supplyW)
+		}
+		idx := w.resIdx
 		for i := 0; i <= steps; i++ {
-			f0 := float64(i) * step
 			base := 0.0 + t0[i]
-			jMax := steps - i
-			improve := func(j int, total float64) {
-				best.perf = total
-				f1 := float64(j) * step
-				f2 := 1 - f0 - f1
-				if f2 < 0 {
-					f2 = 0
-				}
-				best.fracs[0] = f0
-				best.fracs[1] = f1
-				best.fracs[2] = f2
-			}
-			j := 0
-			// Head: residual power above the effective peak — Perf is
-			// contractually constant there; evaluate it once.
-			var vPeak float64
-			vPeakOK := false
-			for ; j <= jMax; j++ {
-				f2 := 1 - f0 - float64(j)*step
-				if f2 < 0 {
-					f2 = 0
-				}
-				perServer := f2 * s.supplyW / c2
-				if perServer <= m2.PeakEffW {
-					break
-				}
-				if !vPeakOK {
-					vPeak = c2 * m2.Perf(perServer)
-					vPeakOK = true
-				}
-				if total := base + t1[j] + vPeak; total > best.perf {
-					improve(j, total)
+			row := idx[:steps-i+1]
+			idx = idx[len(row):]
+			t1 := t1[:len(row)] // proves t1[j] in bounds
+			for j, d := range row {
+				if total := base + t1[j] + v2[d]; total > best.perf {
+					best.perf = total
+					f0, f1 := float64(i)*step, float64(j)*step
+					best.fracs[0] = f0
+					best.fracs[1] = f1
+					best.fracs[2] = residual(f0, f1)
 				}
 			}
-			// Middle: inside the projection's validity range.
-			for ; j <= jMax; j++ {
-				f2 := 1 - f0 - float64(j)*step
-				if f2 < 0 {
-					f2 = 0
-				}
-				perServer := f2 * s.supplyW / c2
-				if perServer < m2.IdleW {
-					break
-				}
-				if total := base + t1[j] + c2*m2.Perf(perServer); total > best.perf {
-					improve(j, total)
-				}
-			}
-			// Tail: residual below idle — Perf is contractually zero.
-			for ; j <= jMax; j++ {
-				if total := base + t1[j] + 0.0; total > best.perf {
-					improve(j, total)
-				}
-			}
-			s.evals += jMax + 1
+			s.evals += len(row)
 		}
 	}
 	return best
+}
+
+// residual is the last of three groups' fraction at grid point (f0, f1)
+// — the reference grid's simplex remainder, clamped at zero.
+//
+// ghlint:allocfree
+// ghlint:units f0=frac f1=frac result=frac
+func residual(f0, f1 float64) float64 {
+	f2 := 1 - f0 - f1
+	if f2 < 0 {
+		f2 = 0
+	}
+	return f2
+}
+
+// indexResiduals builds the 3-group residual table for a grid step:
+// w.resBits gets the distinct residual bit patterns in ascending order,
+// w.resIdx maps each row-major grid point to its entry. Both depend on
+// the step alone, so a Warm rebuilds them only when the step's bits
+// change. The distinct set is kept sorted by binary-search insertion —
+// a one-time cost per step (the 1 % grid has 420 distinct residuals).
+//
+// ghlint:allocfree
+func (w *Warm) indexResiduals(steps int, step float64) {
+	if math.Float64bits(w.resStep) == math.Float64bits(step) {
+		return
+	}
+	points := (steps + 1) * (steps + 2) / 2
+	if cap(w.resIdx) < points {
+		w.resIdx = make([]int32, points)
+	}
+	if cap(w.resBits) < points {
+		w.resBits = make([]uint64, points)
+	}
+	distinct := w.resBits[:0]
+	for i := 0; i <= steps; i++ {
+		f0 := float64(i) * step
+		for j := 0; i+j <= steps; j++ {
+			b := math.Float64bits(residual(f0, float64(j)*step))
+			k := searchBits(distinct, b)
+			if k < len(distinct) && distinct[k] == b {
+				continue
+			}
+			distinct = distinct[:len(distinct)+1]
+			copy(distinct[k+1:], distinct[k:])
+			distinct[k] = b
+		}
+	}
+	idx := w.resIdx[:points]
+	p := 0
+	for i := 0; i <= steps; i++ {
+		f0 := float64(i) * step
+		for j := 0; i+j <= steps; j++ {
+			idx[p] = int32(searchBits(distinct, math.Float64bits(residual(f0, float64(j)*step))))
+			p++
+		}
+	}
+	w.resIdx = idx
+	w.resBits = distinct
+	w.resStep = step
+}
+
+// searchBits returns the first index of sorted whose value is ≥ b.
+//
+// ghlint:allocfree
+func searchBits(sorted []uint64, b uint64) int {
+	lo, hi := 0, len(sorted)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if sorted[mid] < b {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // fillTables precomputes groups 0..n-2's contributions at every grid

@@ -127,7 +127,10 @@ func TestWarmMatchesOptimizeFixtures(t *testing.T) {
 // changing shapes must never leak state between solves.
 func TestWarmMatchesOptimizeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	gridSteps := []float64{0.1, 0.05, 0.02, 0.02, 0.05, 0.1, 0.25, 0.01}
+	// 0.005 is the finest ablation grid; 0.3 and 0.07 do not divide 1,
+	// so their last rows clamp a negative residual to zero. Draws switch
+	// steps on the shared Warm, rebuilding its residual index.
+	gridSteps := []float64{0.1, 0.05, 0.02, 0.02, 0.05, 0.1, 0.25, 0.01, 0.005, 0.3, 0.07}
 	var w Warm
 	for trial := 0; trial < 1000; trial++ {
 		n := 1 + rng.Intn(3)
@@ -161,6 +164,111 @@ func TestWarmMatchesOptimizeRandom(t *testing.T) {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
 		resultsBitEqual(t, "random trial", got, want)
+	}
+}
+
+// comb5Models is the paper's Comb5 rack (Table IV): e5-2620, e5-2603
+// and i5-4460, five servers each, on SPECjbb.
+func comb5Models(t testing.TB) []GroupModel {
+	return []GroupModel{
+		truthModel(t, server.XeonE52620, workload.SPECjbb, 5),
+		truthModel(t, server.XeonE52603, workload.SPECjbb, 5),
+		truthModel(t, server.CoreI54460, workload.SPECjbb, 5),
+	}
+}
+
+// TestWarmResidualTablePerfCalls pins the 3-group scan to one
+// evaluation of the last group per distinct residual fraction, not one
+// per simplex point: with refinement off, the last group's Perf runs
+// exactly as often as the grid has distinct 1−f₀−f₁ bit patterns.
+func TestWarmResidualTablePerfCalls(t *testing.T) {
+	for _, tc := range []struct {
+		step     float64
+		distinct int
+	}{
+		{0.01, 420},
+		{0.005, 913},
+	} {
+		// The reference grid's residuals, counted independently.
+		steps := int(1/tc.step + 0.5)
+		seen := make(map[uint64]bool)
+		points := 0
+		for i := 0; i <= steps; i++ {
+			for j := 0; i+j <= steps; j++ {
+				fr0 := float64(i) * tc.step
+				fr1 := float64(j) * tc.step
+				fr2 := 1 - fr0 - fr1
+				if fr2 < 0 {
+					fr2 = 0
+				}
+				seen[math.Float64bits(fr2)] = true
+				points++
+			}
+		}
+		if len(seen) != tc.distinct {
+			t.Fatalf("step %v: grid has %d distinct residuals, want %d", tc.step, len(seen), tc.distinct)
+		}
+
+		models := comb5Models(t)
+		var calls int
+		inner := models[2].Perf
+		models[2].Perf = func(p float64) float64 { calls++; return inner(p) }
+		o := Options{GridStep: tc.step, RefinePasses: -1}
+		var w Warm
+		got, err := w.Optimize(models, 900, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != tc.distinct {
+			t.Fatalf("step %v: last group's Perf ran %d times, want %d (one per distinct residual, not %d points)",
+				tc.step, calls, tc.distinct, points)
+		}
+		want, err := Optimize(models, 900, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsBitEqual(t, "residual table", got, want)
+	}
+}
+
+// TestWarmOptimizeAllocs pins the steady state of a 3-group warm solve
+// that misses the memo (the supply changes on every call): the only
+// allocation is the Result's caller-owned Fractions copy.
+func TestWarmOptimizeAllocs(t *testing.T) {
+	models := []GroupModel{
+		curveModel(5, 35, 95, []float64{-40, 5.5, -0.012}),
+		curveModel(5, 25, 70, []float64{-10, 3.2, -0.008}),
+		curveModel(5, 45, 130, []float64{-80, 6.1, -0.015}),
+	}
+	var w Warm
+	supply := 600.0
+	if _, err := w.Optimize(models, supply, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		supply++
+		if _, err := w.Optimize(models, supply, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("warm 3-group solve allocates %v times per call, want at most 1", allocs)
+	}
+}
+
+// BenchmarkWarmThreeGroups times the warm path on the Comb5 trio over
+// a supply sweep: consecutive iterations never share a supply, so every
+// solve misses the memo and runs the full 1 % scan and refinement.
+func BenchmarkWarmThreeGroups(b *testing.B) {
+	models := comb5Models(b)
+	var w Warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		supply := 300 + 5*float64(i%256) // 300–1575 W
+		if _, err := w.Optimize(models, supply, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
