@@ -16,11 +16,13 @@
 //	curl localhost:7946/db
 //
 // With -state-dir set, the controller's state is crash-safe: every epoch
-// is journaled to a write-ahead log before it takes effect, an atomic
+// commits the session's full state to a write-ahead log, an atomic
 // snapshot compacts the log every -snapshot-every epochs, and a restart
-// over the same directory (after SIGTERM or a crash) resumes the session
-// exactly where it stopped. On SIGINT/SIGTERM the daemon writes a final
-// checkpoint before exiting.
+// over the same directory (after SIGTERM or a crash) restores the newest
+// durable state and resumes exactly where it stopped, without
+// re-executing any epoch. A directory written for another scenario
+// (policy, workload, seed, rack or solar trace) is rejected. On
+// SIGINT/SIGTERM the daemon writes a final checkpoint before exiting.
 package main
 
 import (

@@ -1,51 +1,43 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"greenhetero/internal/sim"
 	"greenhetero/internal/wal"
 )
 
-// state records carry the rack's full exported session state; the type
-// byte stays below wal.TypeSnapshot.
-const recState byte = 1
-
-// Harness implements cluster.Checkpointer over the PR 5 WAL layer on a
-// crash-injecting filesystem: after every served epoch the rack's full
-// session state is made durable (a snapshot every SnapshotEvery
-// commits, a log record otherwise). A daemon_crash event arms a
+// Harness implements cluster.Checkpointer with sim.Journal on a
+// crash-injecting filesystem: after every served epoch the rack's
+// session is committed through the journal. A daemon_crash event arms a
 // CrashFS crashpoint inside a commit; the torn write surfaces as a
 // commit error, the fleet's breaker takes the rack down, and Recover
-// reopens the salvaged store and restores the last durable state —
-// the in-memory session the crash notionally destroyed is rewound to
-// what actually survived, then fast-forwarded to the fleet clock.
+// reboots the filesystem, reopens the journal and restores the newest
+// durable state — the in-memory session the crash notionally destroyed
+// is rewound to what actually survived, then fast-forwarded to the
+// fleet clock.
 type Harness struct {
-	rack      int
-	fs        *wal.CrashFS
-	store     *wal.Store
-	snapEvery int
-	armAt     map[int]int
+	rack    int
+	fs      *wal.CrashFS
+	journal *sim.Journal
+	armAt   map[int]int
+	// down is set by a failed commit and cleared by Recover.
+	down bool
 
-	commits    int
 	crashes    int
 	recoveries int
 }
 
-// NewHarness opens a WAL on a fresh crash-injecting filesystem for the
-// given rack. armAt maps epochs to crashpoint offsets (see
+// NewHarness opens a journal on a fresh crash-injecting filesystem for
+// the given rack. armAt maps epochs to crashpoint offsets (see
 // Engine.DaemonArm); snapEvery is the snapshot cadence in commits.
 func NewHarness(rack int, seed int64, snapEvery int, armAt map[int]int) (*Harness, error) {
-	if snapEvery < 1 {
-		return nil, fmt.Errorf("chaos: snapshot cadence %d", snapEvery)
-	}
 	fs := wal.NewCrashFS(seed)
-	store, _, err := wal.Open(fs, wal.Options{})
+	j, _, err := sim.OpenJournal(fs, snapEvery, nil)
 	if err != nil {
-		return nil, fmt.Errorf("chaos: open wal: %w", err)
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	return &Harness{rack: rack, fs: fs, store: store, snapEvery: snapEvery, armAt: armAt}, nil
+	return &Harness{rack: rack, fs: fs, journal: j, armAt: armAt}, nil
 }
 
 // Rack implements cluster.Checkpointer.
@@ -60,59 +52,34 @@ func (h *Harness) Recoveries() int { return h.recoveries }
 // If a daemon_crash event is scheduled for this epoch, the crashpoint
 // is armed first, so the commit itself tears.
 func (h *Harness) Commit(epoch int, s *sim.Session) error {
-	if h.store == nil {
+	if h.down {
 		return fmt.Errorf("chaos: rack %d wal is down (unrecovered crash)", h.rack)
 	}
 	if k, ok := h.armAt[epoch]; ok {
 		h.fs.SetCrashAt(h.fs.Ops() + k)
 	}
-	st, err := s.ExportState()
-	if err != nil {
-		return fmt.Errorf("chaos: export rack %d: %w", h.rack, err)
-	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("chaos: encode rack %d: %w", h.rack, err)
-	}
-	h.commits++
-	if (h.commits-1)%h.snapEvery == 0 {
-		err = h.store.SaveSnapshot(epoch, data)
-	} else {
-		err = h.store.Append(recState, data)
-	}
-	if err != nil {
-		// The daemon is gone; the store handle with it. Recover reopens.
+	if err := h.journal.Commit(s, nil, nil); err != nil {
+		// The daemon is gone; Recover restarts it.
 		h.crashes++
-		h.store = nil
+		h.down = true
 		return fmt.Errorf("chaos: commit rack %d epoch %d: %w", h.rack, epoch, err)
 	}
 	return nil
 }
 
-// Recover implements cluster.Checkpointer: restart the daemon, salvage
-// the WAL, restore the newest durable state, and fast-forward the
-// session to the fleet clock. Epochs that were stepped but never
-// durable are rewound — they were already charged to the rack's
-// breaker as failures.
+// Recover implements cluster.Checkpointer: restart the daemon, restore
+// the newest durable state, and fast-forward the session to the fleet
+// clock. Epochs that were stepped but never durable are rewound — they
+// were already charged to the rack's breaker as failures.
 func (h *Harness) Recover(epoch int, s *sim.Session) error {
 	h.fs.Recover()
-	store, rec, err := wal.Open(h.fs, wal.Options{})
+	rec, err := h.journal.Reopen()
 	if err != nil {
-		return fmt.Errorf("chaos: reopen rack %d wal: %w", h.rack, err)
+		return fmt.Errorf("chaos: reopen rack %d journal: %w", h.rack, err)
 	}
-	h.store = store
-	data := rec.Snapshot
-	for _, r := range rec.Records {
-		if r.Type == recState {
-			data = r.Data
-		}
-	}
-	if data != nil {
-		var st sim.State
-		if err := json.Unmarshal(data, &st); err != nil {
-			return fmt.Errorf("chaos: decode rack %d state: %w", h.rack, err)
-		}
-		if err := s.RestoreState(&st); err != nil {
+	h.down = false
+	if rec.State != nil {
+		if err := s.RestoreState(rec.State); err != nil {
 			return fmt.Errorf("chaos: restore rack %d: %w", h.rack, err)
 		}
 	}

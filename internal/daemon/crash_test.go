@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -11,6 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"greenhetero/internal/server"
+	"greenhetero/internal/sim"
+	"greenhetero/internal/solar"
 	"greenhetero/internal/wal"
 )
 
@@ -24,7 +28,8 @@ import (
 // crashEpochs is the scripted run length. Small enough that every
 // crashpoint is exercised in a few seconds, large enough to cross
 // several snapshot boundaries (SnapshotEvery=2) and segment rotations.
-const crashEpochs = 6
+// At one fsynced append per epoch, 9 epochs make 67 storage ops.
+const crashEpochs = 9
 
 // finalState captures everything ISSUE's equivalence claim covers: the
 // /db snapshot bytes, battery state of charge, and the epoch history.
@@ -284,26 +289,102 @@ func TestDaemonCorruptedTailTruncates(t *testing.T) {
 	}
 }
 
-// TestDaemonRejectsMismatchedStateDir proves the replay verification:
-// a state dir written under one scenario must not silently restore into
-// a session built from another.
+// TestDaemonRejectsMismatchedStateDir proves the state fingerprint
+// check: a state dir written under one scenario must not silently
+// restore into a session built from another — other seed, other rack,
+// or other solar trace.
 func TestDaemonRejectsMismatchedStateDir(t *testing.T) {
-	fsys := wal.NewCrashFS(7)
-	quiet := func(string, ...any) {}
-	if _, err := runToEnd(t, fsys, quiet); err != nil {
+	spec, err := server.Lookup(server.XeonE52603)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherRack, err := server.NewRack("daemon-test", server.Group{Spec: spec, Count: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowTrace, err := solar.DefaultLow(2200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	highTrace, err := solar.DefaultHigh(2200)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	other := testSessionSeed(t, 8) // same rack/workload, different seed
-	_, err := New(Config{
-		Session:       other,
-		Tick:          time.Hour,
-		HistoryLimit:  64,
-		FS:            fsys,
-		SnapshotEvery: 2,
-		Logf:          quiet,
-	})
-	if err == nil {
-		t.Fatal("daemon restored a snapshot from a different scenario")
+	for _, tc := range []struct {
+		name  string
+		other func(t *testing.T) *sim.Session
+	}{
+		{"other-seed", func(t *testing.T) *sim.Session { return testSessionSeed(t, 8) }},
+		{"other-rack", func(t *testing.T) *sim.Session { return sessionFor(t, otherRack, highTrace, 7) }},
+		{"other-trace", func(t *testing.T) *sim.Session { return sessionFor(t, testRack(t), lowTrace, 7) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := wal.NewCrashFS(7)
+			quiet := func(string, ...any) {}
+			if _, err := runToEnd(t, fsys, quiet); err != nil {
+				t.Fatal(err)
+			}
+			_, err := New(Config{
+				Session:       tc.other(t),
+				Tick:          time.Hour,
+				HistoryLimit:  64,
+				FS:            fsys,
+				SnapshotEvery: 2,
+				Logf:          quiet,
+			})
+			if !errors.Is(err, sim.ErrBadState) {
+				t.Fatalf("daemon restored a snapshot from a different scenario: err = %v", err)
+			}
+		})
+	}
+}
+
+// TestDaemonRefusesReplayProtocolStateDir feeds New a state dir the
+// retired replay protocol wrote (a schema 1 snapshot followed by intent
+// and epoch records, testdata/replay-v1): it must fail naming the
+// format, with and without the snapshot in front of the records.
+func TestDaemonRefusesReplayProtocolStateDir(t *testing.T) {
+	src := filepath.Join("testdata", "replay-v1")
+	names, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		skip     string
+		wantText string
+	}{
+		{"snapshot-and-log", "", "schema 1"},
+		{"log-only", "snap-0000000000000000.db", "type 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, n := range names {
+				if n.Name() == tc.skip {
+					continue
+				}
+				b, err := os.ReadFile(filepath.Join(src, n.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, n.Name()), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sess := testSession(t)
+			_, err := New(Config{
+				Session:  sess,
+				Tick:     time.Hour,
+				StateDir: dir,
+				Logf:     func(string, ...any) {},
+			})
+			if err == nil || !strings.Contains(err.Error(), "replay protocol") || !strings.Contains(err.Error(), tc.wantText) {
+				t.Fatalf("New over a replay-protocol state dir: err = %v, want one naming the replay protocol and %q", err, tc.wantText)
+			}
+			if sess.Epoch() != 0 {
+				t.Errorf("session moved to epoch %d from a refused state dir", sess.Epoch())
+			}
+		})
 	}
 }

@@ -44,14 +44,14 @@ type Config struct {
 	// Health optionally surfaces the Monitor's per-agent health (breaker
 	// state, stale flags) in /status.
 	Health HealthSource
-	// StateDir, when set, makes the daemon's state durable: each epoch is
-	// journaled to a write-ahead log under this directory before it takes
-	// effect, and a daemon restarted over the same directory resumes the
-	// session exactly where it stopped (see state.go).
+	// StateDir, when set, makes the daemon's state durable: each epoch's
+	// full session state is committed to a write-ahead log under this
+	// directory, and a daemon restarted over the same directory resumes
+	// the session exactly where it stopped (see state.go).
 	StateDir string
 	// SnapshotEvery is the checkpoint cadence in committed epochs
-	// (default 32). A snapshot compacts the WAL, bounding both disk use
-	// and recovery replay time.
+	// (default 32). A snapshot compacts the WAL, bounding disk use and
+	// the log tail recovery reads.
 	SnapshotEvery int
 	// FS overrides the durable-state filesystem; used by tests to inject
 	// wal.CrashFS. Takes precedence over StateDir.
@@ -70,11 +70,10 @@ type Daemon struct {
 	limit  int
 	health HealthSource
 
-	// Durable-state plane, immutable after New. store is nil when no
+	// Durable-state plane, immutable after New. journal is nil when no
 	// StateDir/FS is configured; recovered reports whether New resumed
 	// from existing durable state.
-	store     *wal.Store
-	snapEvery int
+	journal   *sim.Journal
 	recovered bool
 	logf      func(format string, args ...any)
 
@@ -96,29 +95,23 @@ type Daemon struct {
 	started bool
 	// ghlint:guardedby mu
 	stopping bool
-	// walErr latches the first storage failure. The write-ahead contract
-	// is journal-then-apply; once journaling fails, stepping further would
-	// advance state that can never be recovered, so the scheduler halts
-	// (the HTTP API stays up and reports the error).
+	// walErr latches the first storage failure. Once a commit fails,
+	// stepping further would advance state that can never be recovered,
+	// so the scheduler halts (the HTTP API stays up and reports the
+	// error).
 	// ghlint:guardedby mu
 	walErr error
 	// ghlint:guardedby mu
-	sinceSnap int
-	// checkpointEpoch is the epoch covered by the latest snapshot
-	// (-1 until one exists).
-	// ghlint:guardedby mu
-	checkpointEpoch int
-	// ghlint:guardedby mu
-	storeClosed bool
+	journalClosed bool
 
 	stop chan struct{}
 	done chan struct{}
 }
 
 // New validates cfg and builds a stopped daemon. With durable state
-// configured it opens (or creates) the WAL, resumes the session from any
-// existing snapshot + log tail, and writes a fresh checkpoint so the
-// resumed position is immediately durable.
+// configured it opens (or creates) the WAL, restores the newest durable
+// state into the session, and writes a fresh checkpoint so the resumed
+// position is immediately durable.
 func New(cfg Config) (*Daemon, error) {
 	if cfg.Session == nil {
 		return nil, fmt.Errorf("%w: nil session", ErrBadConfig)
@@ -153,52 +146,52 @@ func New(cfg Config) (*Daemon, error) {
 	}
 
 	var (
-		store     *wal.Store
+		journal   *sim.Journal
 		history   []sim.EpochResult
 		recovered bool
 	)
 	if fsys != nil {
-		var rec wal.Recovered
-		var err error
-		store, rec, err = wal.Open(fsys, wal.Options{Logf: logf})
+		j, rec, err := sim.OpenJournal(fsys, cfg.SnapshotEvery, logf)
 		if err != nil {
-			return nil, fmt.Errorf("daemon: open wal: %w", err)
+			return nil, fmt.Errorf("daemon: open state: %w", err)
 		}
-		if rec.Snapshot != nil || len(rec.Records) > 0 {
-			history, err = recoverState(cfg.Session, cfg.HistoryLimit, cfg.Health, rec, logf)
+		journal = j
+		if rec.State != nil {
+			err := cfg.Session.RestoreState(rec.State)
+			if err == nil {
+				history, err = recoverHistory(rec, cfg.HistoryLimit, cfg.Health)
+			}
 			if err != nil {
-				_ = store.Close()
-				return nil, err
+				_ = journal.Close()
+				return nil, fmt.Errorf("daemon: recover: %w", err)
 			}
 			recovered = true
-			logf("daemon: recovered durable state: session at epoch %d (snapshot epoch %d, %d log records replayed)",
-				cfg.Session.Epoch(), rec.SnapshotEpoch, len(rec.Records))
+			logf("daemon: recovered durable state: session at epoch %d (snapshot epoch %d + %d log records)",
+				cfg.Session.Epoch(), journal.LastSnapshotEpoch(), len(rec.Tail))
 		}
 	}
 
 	d := &Daemon{
-		session:         cfg.Session,
-		tick:            cfg.Tick,
-		limit:           cfg.HistoryLimit,
-		health:          cfg.Health,
-		store:           store,
-		snapEvery:       cfg.SnapshotEvery,
-		recovered:       recovered,
-		logf:            logf,
-		history:         history,
-		checkpointEpoch: -1,
-		stop:            make(chan struct{}), // ghlint:unbounded close-only shutdown signal; Stop closes it, run only selects on it
-		done:            make(chan struct{}), // ghlint:unbounded close-only exit signal; run closes it, Stop blocks until the close
+		session:   cfg.Session,
+		tick:      cfg.Tick,
+		limit:     cfg.HistoryLimit,
+		health:    cfg.Health,
+		journal:   journal,
+		recovered: recovered,
+		logf:      logf,
+		history:   history,
+		stop:      make(chan struct{}), // ghlint:unbounded close-only shutdown signal; Stop closes it, run only selects on it
+		done:      make(chan struct{}), // ghlint:unbounded close-only exit signal; run closes it, Stop blocks until the close
 	}
-	if store != nil {
+	if journal != nil {
 		// Checkpoint immediately: a fresh dir gets its identity snapshot
 		// (so a later mismatched scenario fails fast), and a recovered one
-		// compacts the replayed tail away.
+		// compacts the log tail away.
 		d.mu.Lock()
 		err := d.checkpointLocked()
 		d.mu.Unlock()
 		if err != nil {
-			_ = store.Close()
+			_ = journal.Close()
 			return nil, fmt.Errorf("daemon: initial checkpoint: %w", err)
 		}
 	}
@@ -239,16 +232,16 @@ func (d *Daemon) Stop() {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.store == nil || d.storeClosed {
+	if d.journal == nil || d.journalClosed {
 		return
 	}
-	d.storeClosed = true
+	d.journalClosed = true
 	if d.walErr == nil {
 		if err := d.checkpointLocked(); err != nil {
 			d.logf("daemon: final checkpoint failed: %v", err)
 		}
 	}
-	if err := d.store.Close(); err != nil {
+	if err := d.journal.Close(); err != nil {
 		d.logf("daemon: closing wal: %v", err)
 	}
 }
@@ -273,12 +266,12 @@ func (d *Daemon) loop() {
 	}
 }
 
-// StepEpoch executes one scheduling epoch under the write-ahead
-// discipline. It is the loop's body, exported so tests (and the crash
-// harness) can drive epochs without wall-clock ticks. The returned error
-// is nil for session-level epoch failures (those are recorded in
-// /status and the daemon keeps ticking) and non-nil only for durable-
-// storage failures, which halt the scheduler.
+// StepEpoch executes one scheduling epoch and commits it. It is the
+// loop's body, exported so tests (and the crash harness) can drive
+// epochs without wall-clock ticks. The returned error is nil for
+// session-level epoch failures (those are recorded in /status and the
+// daemon keeps ticking) and non-nil only for durable-storage failures,
+// which halt the scheduler.
 func (d *Daemon) StepEpoch() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -288,20 +281,9 @@ func (d *Daemon) StepEpoch() error {
 	return d.stepLocked()
 }
 
-// stepLocked journals, steps, commits, and maybe checkpoints.
+// stepLocked steps the session and commits the epoch.
 // ghlint:holds d.mu
 func (d *Daemon) stepLocked() error {
-	// Journal the intent before the session mutates: after a crash the
-	// log always shows which epoch was in flight.
-	if d.store != nil {
-		ib, err := json.Marshal(intentRecord{Epoch: d.session.Epoch()})
-		if err != nil {
-			return d.failStoreLocked(fmt.Errorf("daemon: encode intent: %w", err))
-		}
-		if err := d.store.Append(recTypeIntent, ib); err != nil {
-			return d.failStoreLocked(fmt.Errorf("daemon: journal intent: %w", err))
-		}
-	}
 	// Step mutates the session in place, so it runs under the write lock;
 	// every handler read of session state holds the read lock and
 	// therefore observes a quiesced session.
@@ -309,26 +291,16 @@ func (d *Daemon) stepLocked() error {
 	if err != nil {
 		// Record and keep ticking: a transient failure (e.g. a dead
 		// sensor during training) must not kill the rack controller.
-		// Deterministic replay reproduces the failure, so the uncommitted
-		// intent needs no undo record.
+		// Nothing is committed: after a crash the session resumes from
+		// the last committed state and steps forward from there.
 		d.lastErr = err
 		return nil
 	}
 	d.lastErr = nil
 	d.history = appendTrimmed(d.history, er, d.limit)
-	if d.store != nil {
-		eb, err := json.Marshal(epochRecord{Epoch: er.Epoch, Result: er})
-		if err != nil {
-			return d.failStoreLocked(fmt.Errorf("daemon: encode epoch record: %w", err))
-		}
-		if err := d.store.Append(recTypeEpoch, eb); err != nil {
-			return d.failStoreLocked(fmt.Errorf("daemon: journal epoch: %w", err))
-		}
-		d.sinceSnap++
-		if d.sinceSnap >= d.snapEvery {
-			if err := d.checkpointLocked(); err != nil {
-				return err
-			}
+	if d.journal != nil {
+		if err := d.journal.Commit(d.session, er, d.snapshotDataLocked); err != nil {
+			return d.failStoreLocked(fmt.Errorf("daemon: commit epoch %d: %w", er.Epoch, err))
 		}
 	}
 	return nil
@@ -338,24 +310,20 @@ func (d *Daemon) stepLocked() error {
 // the WAL behind it.
 // ghlint:holds d.mu
 func (d *Daemon) checkpointLocked() error {
-	st, err := d.session.ExportState()
-	if err != nil {
-		return d.failStoreLocked(fmt.Errorf("daemon: export state: %w", err))
+	if err := d.journal.Checkpoint(d.session, d.snapshotDataLocked()); err != nil {
+		return d.failStoreLocked(fmt.Errorf("daemon: checkpoint: %w", err))
 	}
-	ps := persistedState{Schema: stateSchema, Session: st, History: d.history}
-	if d.health != nil {
-		ps.Agents = d.health.Health()
-	}
-	b, err := json.Marshal(ps)
-	if err != nil {
-		return d.failStoreLocked(fmt.Errorf("daemon: encode snapshot: %w", err))
-	}
-	if err := d.store.SaveSnapshot(st.Epoch, b); err != nil {
-		return d.failStoreLocked(fmt.Errorf("daemon: save snapshot: %w", err))
-	}
-	d.checkpointEpoch = st.Epoch
-	d.sinceSnap = 0
 	return nil
+}
+
+// snapshotDataLocked is the daemon's snapshot payload.
+// ghlint:holds d.mu
+func (d *Daemon) snapshotDataLocked() any {
+	sd := snapshotData{History: d.history}
+	if d.health != nil {
+		sd.Agents = d.health.Health()
+	}
+	return sd
 }
 
 // failStoreLocked latches the first storage failure and returns it.
@@ -373,9 +341,10 @@ func (d *Daemon) Recovered() bool { return d.recovered }
 // LastCheckpointEpoch returns the epoch covered by the latest snapshot,
 // or -1 if none exists (including when durable state is disabled).
 func (d *Daemon) LastCheckpointEpoch() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.checkpointEpoch
+	if d.journal == nil {
+		return -1
+	}
+	return d.journal.LastSnapshotEpoch()
 }
 
 // History returns a copy of the retained epoch results.
@@ -428,10 +397,10 @@ func (d *Daemon) Handler() http.Handler {
 			Cycles:              d.session.Bank().Cycles(),
 			DBEntries:           d.session.DB().Len(),
 			Recovered:           d.recovered,
-			LastCheckpointEpoch: d.checkpointEpoch,
+			LastCheckpointEpoch: d.LastCheckpointEpoch(),
 		}
-		if d.store != nil {
-			st.WALSegments = d.store.Segments()
+		if d.journal != nil {
+			st.WALSegments = d.journal.Segments()
 		}
 		if d.lastErr != nil {
 			st.LastError = d.lastErr.Error()

@@ -12,6 +12,7 @@ import (
 	"greenhetero/internal/server"
 	"greenhetero/internal/sim"
 	"greenhetero/internal/solar"
+	"greenhetero/internal/trace"
 	"greenhetero/internal/workload"
 )
 
@@ -21,6 +22,16 @@ func testSession(t *testing.T) *sim.Session {
 }
 
 func testSessionSeed(t *testing.T, seed int64) *sim.Session {
+	t.Helper()
+	tr, err := solar.DefaultHigh(2200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sessionFor(t, testRack(t), tr, seed)
+}
+
+// testRack is the daemon test rack: 5× E5-2620 and 5× i5-4460.
+func testRack(t *testing.T) *server.Rack {
 	t.Helper()
 	a, err := server.Lookup(server.XeonE52620)
 	if err != nil {
@@ -35,11 +46,14 @@ func testSessionSeed(t *testing.T, seed int64) *sim.Session {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rack
+}
+
+// sessionFor builds the daemon test session on the given rack and
+// solar trace.
+func sessionFor(t *testing.T, rack *server.Rack, tr *trace.Trace, seed int64) *sim.Session {
+	t.Helper()
 	w, err := workload.Lookup(workload.SPECjbb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := solar.DefaultHigh(2200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,42 +1,25 @@
 // Durable state: the daemon's WAL integration. With a StateDir (or an
-// injected wal.FS) configured, every scheduling epoch follows the
-// write-ahead discipline:
+// injected wal.FS) configured, the session is made durable through
+// sim.Journal, the one protocol it shares with the chaos harness: every
+// epoch commits the session's full state together with that epoch's
+// result, and every SnapshotEvery-th commit is an atomic snapshot that
+// also carries the history ring and per-agent health. New writes a
+// checkpoint and so does Stop.
 //
-//  1. journal an intent record (fsynced) — "epoch E is about to run",
-//  2. step the session,
-//  3. journal the epoch's full result (fsynced) — the commit record,
-//  4. every SnapshotEvery committed epochs, write an atomic full-state
-//     snapshot and compact the log.
-//
-// Recovery inverts it: restore the newest snapshot into a fresh session
-// built from the same scenario, then re-execute one epoch per commit
-// record. The session is a deterministic state machine (seeded RNG with
-// a persisted draw counter), so re-execution reproduces each journaled
-// result bit-for-bit — and the daemon verifies that it does, turning a
-// state-dir/scenario mismatch into a hard error instead of silent
-// divergence. An intent record with no matching commit marks an epoch
-// that crashed mid-step; it re-executes identically on resume, which is
-// exactly why intents need no undo log.
+// Recovery restores the newest durable state and rebuilds the history
+// from the snapshot's ring plus the results of the records after it. It
+// never re-executes an epoch. The state's fingerprint (policy, workload,
+// seed, rack, solar trace) is what rejects a state dir written for a
+// different scenario.
 package daemon
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
 	"greenhetero/internal/sim"
 	"greenhetero/internal/telemetry"
-	"greenhetero/internal/wal"
 )
-
-// WAL record types.
-const (
-	recTypeIntent byte = 1
-	recTypeEpoch  byte = 2
-)
-
-// stateSchema versions the snapshot payload.
-const stateSchema = 1
 
 // HealthRestorer is the optional restore face of a HealthSource — a
 // *telemetry.Collector implements it. When the configured HealthSource
@@ -45,109 +28,38 @@ type HealthRestorer interface {
 	RestoreHealth([]telemetry.AgentHealth) error
 }
 
-// persistedState is the snapshot payload: the session's full state,
-// the retained epoch history, and per-agent Monitor health.
-type persistedState struct {
-	Schema  int                     `json:"schema"`
-	Session *sim.State              `json:"session"`
+// snapshotData is the daemon's payload on a snapshot: the retained
+// epoch history and per-agent Monitor health. Log records carry the
+// epoch's sim.EpochResult instead.
+type snapshotData struct {
 	History []sim.EpochResult       `json:"history"`
 	Agents  []telemetry.AgentHealth `json:"agents,omitempty"`
 }
 
-// intentRecord journals that an epoch is about to execute.
-type intentRecord struct {
-	Epoch int `json:"epoch"`
-}
-
-// epochRecord is the commit record: the epoch's journaled outcome.
-type epochRecord struct {
-	Epoch  int             `json:"epoch"`
-	Result sim.EpochResult `json:"result"`
-}
-
-// recoverState restores rec into session and returns the recovered
-// history. Called from New before the Daemon struct exists, so it works
-// on locals; the caller installs the results.
-func recoverState(session *sim.Session, limit int, health HealthSource, rec wal.Recovered, logf func(string, ...any)) ([]sim.EpochResult, error) {
+// recoverHistory rebuilds the history ring from the journal's payloads
+// and re-seeds agent health from the snapshot.
+func recoverHistory(rec sim.JournalRecovery, limit int, health HealthSource) ([]sim.EpochResult, error) {
 	var history []sim.EpochResult
 	if rec.Snapshot != nil {
-		var ps persistedState
-		if err := json.Unmarshal(rec.Snapshot, &ps); err != nil {
+		var sd snapshotData
+		if err := json.Unmarshal(rec.Snapshot, &sd); err != nil {
 			return nil, fmt.Errorf("daemon: recover: decode snapshot: %w", err)
 		}
-		if ps.Schema != stateSchema {
-			return nil, fmt.Errorf("daemon: recover: snapshot schema %d, want %d", ps.Schema, stateSchema)
-		}
-		if err := session.RestoreState(ps.Session); err != nil {
-			return nil, fmt.Errorf("daemon: recover: %w", err)
-		}
-		history = append(history, ps.History...)
-		if hr, ok := health.(HealthRestorer); ok && len(ps.Agents) > 0 {
-			if err := hr.RestoreHealth(ps.Agents); err != nil {
+		history = sd.History
+		if hr, ok := health.(HealthRestorer); ok && len(sd.Agents) > 0 {
+			if err := hr.RestoreHealth(sd.Agents); err != nil {
 				return nil, fmt.Errorf("daemon: recover: %w", err)
 			}
 		}
-	} else if len(rec.Records) > 0 {
-		logf("daemon: recovering from log tail only (no snapshot)")
 	}
-
-	// Re-execute the journaled epochs and verify each re-derived result
-	// against its commit record.
-	for _, r := range rec.Records {
-		switch r.Type {
-		case recTypeIntent:
-			// An intent without a commit is an epoch that crashed
-			// mid-step; the loop below leaves the session positioned to
-			// re-run it.
-		case recTypeEpoch:
-			var er epochRecord
-			if err := json.Unmarshal(r.Data, &er); err != nil {
-				return nil, fmt.Errorf("daemon: recover: decode epoch record seq %d: %w", r.Seq, err)
-			}
-			// Catch up over epochs that failed (and therefore committed
-			// nothing) in the original run: a deterministic session
-			// fails them identically here.
-			for session.Epoch() < er.Epoch {
-				if _, err := session.Step(); err == nil {
-					return nil, fmt.Errorf("daemon: recover: epoch %d succeeded on replay but has no commit record — state dir does not match this scenario", session.Epoch()-1)
-				}
-			}
-			if session.Epoch() != er.Epoch {
-				return nil, fmt.Errorf("daemon: recover: commit record for epoch %d but session is at %d — state dir does not match this scenario", er.Epoch, session.Epoch())
-			}
-			got, err := session.Step()
-			if err != nil {
-				return nil, fmt.Errorf("daemon: recover: replaying epoch %d: %w", er.Epoch, err)
-			}
-			if err := verifyReplay(er.Result, got); err != nil {
-				return nil, err
-			}
-			history = appendTrimmed(history, got, limit)
-		default:
-			return nil, fmt.Errorf("daemon: recover: unknown record type %d at seq %d", r.Type, r.Seq)
+	for i, raw := range rec.Tail {
+		var er sim.EpochResult
+		if err := json.Unmarshal(raw, &er); err != nil {
+			return nil, fmt.Errorf("daemon: recover: decode epoch result %d of the log tail: %w", i, err)
 		}
+		history = appendTrimmed(history, er, limit)
 	}
 	return history, nil
-}
-
-// verifyReplay asserts the re-executed epoch reproduces the journaled
-// one byte-for-byte. A mismatch means the state dir belongs to a
-// different scenario (changed rack, trace, seed, policy…): continuing
-// would silently diverge from every decision already acted on.
-func verifyReplay(journaled, got sim.EpochResult) error {
-	jb, err := json.Marshal(journaled)
-	if err != nil {
-		return fmt.Errorf("daemon: recover: %w", err)
-	}
-	gb, err := json.Marshal(got)
-	if err != nil {
-		return fmt.Errorf("daemon: recover: %w", err)
-	}
-	if !bytes.Equal(jb, gb) {
-		return fmt.Errorf("daemon: recover: epoch %d replay diverged from journal — state dir does not match this scenario (journaled %s, replayed %s)",
-			journaled.Epoch, jb, gb)
-	}
-	return nil
 }
 
 // appendTrimmed appends to the history ring, enforcing the limit.

@@ -2,9 +2,8 @@ package lint
 
 // cfg.go builds per-function control-flow graphs — the substrate for the
 // flow-sensitive analyzers (guardedby, deferclose). The statement-local
-// analyzers of the original suite (determinism, seedflow, floateq, and
-// the since-retired unitsafety) ask "does this expression appear?"; the
-// concurrency analyzers
+// analyzers (determinism, seedflow, floateq) ask "does this expression
+// appear?"; the concurrency analyzers
 // must ask "is the lock held *on every path reaching this access?*",
 // and that question only makes sense over a graph of basic blocks.
 //

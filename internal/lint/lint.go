@@ -54,8 +54,7 @@
 //     dimensions seeded from identifier suffixes and `// ghlint:units`
 //     annotations propagate through assignments, calls, returns, and
 //     field stores; additive mixing, cross-boundary mismatches, and
-//     laundering through neutral names are findings. Replaces the
-//     retired local unitsafety pass (kept as a regression baseline).
+//     laundering through neutral names are findings.
 //   - allocfree: functions annotated `// ghlint:allocfree` contain no
 //     allocation site and call only annotated, whitelisted, or
 //     contract-verified callees — the static form of the epoch hot

@@ -1,12 +1,11 @@
-// Regression fixture for the laundering shape the retired local
-// unitsafety analyzer was blind to: a power value is read into a
-// neutral local (`x := b.PeakW` — the suffix dies right there), then
-// crosses a call boundary into a helper that adds it to an energy
-// value. Locally the helper's `capWh + x` has only one suffixed
-// operand, so the old suffix-only pass reports nothing
-// (TestUnitsLaunderRegression proves that); the interprocedural units
-// engine flows W through the local and into the helper's neutral
-// parameter, and the addition is a dimension mix.
+// Regression fixture for the laundering shape a suffix-only unit check
+// is blind to: a power value is read into a neutral local
+// (`x := b.PeakW` — the suffix dies right there), then crosses a call
+// boundary into a helper that adds it to an energy value. Locally the
+// helper's `capWh + x` has only one suffixed operand, so a suffix-only
+// pass reports nothing; the interprocedural units engine
+// (TestUnitsLaunderRegression) flows W through the local and into the
+// helper's neutral parameter, and the addition is a dimension mix.
 package units
 
 // Bank mirrors internal/battery's suffixed field naming.

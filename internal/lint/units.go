@@ -15,10 +15,10 @@ import (
 // suffix convention (…W/…Watts, …Wh, …Hours/…H, …Frac/…Fraction) only
 // protects expressions where both operands still carry their suffix.
 // Any assignment to a neutral name, any call boundary, and any struct
-// field store used to launder the unit; the retired local unitsafety
-// analyzer was blind one step past the suffix.
+// field store launders the unit, one step past where a suffix-only
+// check can see.
 //
-// This analyzer replaces it with a small dimension lattice
+// This analyzer closes that gap with a small dimension lattice
 // {W, Wh, h, frac} propagated over the whole program (same fixpoint
 // shape as dettaint): dimensions are seeded from identifier suffixes and
 // from explicit `// ghlint:units` annotations on params, results, and
@@ -174,6 +174,25 @@ func dimOfName(name string) udim {
 		return udimFrac
 	}
 	return udimUnknown
+}
+
+// suffixAtBoundary reports whether name ends in suffix with a camel-case
+// boundary (a lowercase letter or digit) right before it.
+func suffixAtBoundary(name, suffix string) bool {
+	if !strings.HasSuffix(name, suffix) || len(name) == len(suffix) {
+		return false
+	}
+	prev := name[len(name)-len(suffix)-1]
+	return prev >= 'a' && prev <= 'z' || prev >= '0' && prev <= '9'
+}
+
+// mixableOps are the operators across which dimensions must agree.
+var mixableOps = map[token.Token]bool{
+	token.ADD: true, token.SUB: true,
+	token.LSS: true, token.LEQ: true,
+	token.GTR: true, token.GEQ: true,
+	token.EQL: true, token.NEQ: true,
+	token.ADD_ASSIGN: true, token.SUB_ASSIGN: true,
 }
 
 // dval is an expression's evaluated dimension. isConst marks untyped and

@@ -376,6 +376,8 @@ type Session struct {
 	groups       []server.Group
 	ctrl         *core.Controller
 	tryIntensity float64
+	// rackID and traceID fingerprint exported state (see identify).
+	rackID, traceID string
 
 	epoch      int
 	prevDemand float64
@@ -420,6 +422,7 @@ func NewSession(cfg Config) (*Session, error) {
 		groups:         c.Rack.Groups(),
 		intensityScale: 1,
 	}
+	s.rackID, s.traceID = identify(c.Rack, c.Solar)
 	s.pb = &prober{
 		intensity:     c.Intensity(0),
 		samples:       c.ProfileSamples,

@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"greenhetero/internal/battery"
 	"greenhetero/internal/core"
+	"greenhetero/internal/server"
+	"greenhetero/internal/trace"
 )
 
 // countingSource wraps the session's seeded RNG source and counts state
@@ -56,13 +59,15 @@ const maxRestoreDraws = 1 << 36
 
 // State is a session's complete durable state: everything NewSession
 // does not derive from Config. The identity fields (Policy, Workload,
-// Seed) fingerprint the snapshot so it cannot restore into a session
-// built from a different scenario. All floats survive the JSON
-// round-trip bit-exactly.
+// Seed, and Rack and Trace from identify) fingerprint the snapshot so
+// it cannot restore into a session built from a different scenario.
+// All floats survive the JSON round-trip bit-exactly.
 type State struct {
 	Policy      string  `json:"policy"`
 	Workload    string  `json:"workload"`
 	Seed        int64   `json:"seed"`
+	Rack        string  `json:"rack"`
+	Trace       string  `json:"trace"`
 	Epoch       int     `json:"epoch"`
 	PrevDemandW float64 `json:"prevDemandW"`
 	RNGDraws    uint64  `json:"rngDraws"`
@@ -74,6 +79,32 @@ type State struct {
 	Battery    battery.State   `json:"battery"`
 	Controller core.State      `json:"controller"`
 	DB         json.RawMessage `json:"db"`
+}
+
+// identify computes the fingerprints NewSession stores once per
+// session: the rack as "name[e5-2620x5 …]" (spec ID and count per
+// group), and the trace as a word-wise FNV-1a digest of its start, step
+// and sample bits plus its length.
+func identify(rack *server.Rack, tr *trace.Trace) (rackID, traceID string) {
+	b := append([]byte(rack.Name()), '[')
+	for i := 0; i < rack.NumGroups(); i++ {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		g := rack.Group(i)
+		b = append(append(b, g.Spec.ID...), 'x')
+		b = strconv.AppendInt(b, int64(g.Count), 10)
+	}
+	b = append(b, ']')
+
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	h = (h ^ uint64(tr.Start.UnixNano())) * prime
+	h = (h ^ uint64(tr.Step)) * prime
+	for _, v := range tr.Values {
+		h = (h ^ math.Float64bits(v)) * prime
+	}
+	return string(b), strconv.FormatUint(h, 16) + "/" + strconv.Itoa(len(tr.Values))
 }
 
 // ErrBadState is returned by RestoreState for snapshots that fail
@@ -97,6 +128,8 @@ func (s *Session) ExportState() (*State, error) {
 		Policy:      s.Policy(),
 		Workload:    s.WorkloadLabel(),
 		Seed:        s.cfg.Seed,
+		Rack:        s.rackID,
+		Trace:       s.traceID,
 		Epoch:       s.epoch,
 		PrevDemandW: s.prevDemand,
 		RNGDraws:    s.src.draws,
@@ -121,9 +154,11 @@ func (s *Session) RestoreState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("%w: nil state", ErrBadState)
 	}
-	if st.Policy != s.Policy() || st.Workload != s.WorkloadLabel() || st.Seed != s.cfg.Seed {
-		return fmt.Errorf("%w: snapshot is for policy=%s workload=%s seed=%d, session is policy=%s workload=%s seed=%d",
-			ErrBadState, st.Policy, st.Workload, st.Seed, s.Policy(), s.WorkloadLabel(), s.cfg.Seed)
+	if st.Policy != s.Policy() || st.Workload != s.WorkloadLabel() || st.Seed != s.cfg.Seed ||
+		st.Rack != s.rackID || st.Trace != s.traceID {
+		return fmt.Errorf("%w: snapshot is for policy=%s workload=%s seed=%d rack=%s trace=%s, session is policy=%s workload=%s seed=%d rack=%s trace=%s",
+			ErrBadState, st.Policy, st.Workload, st.Seed, st.Rack, st.Trace,
+			s.Policy(), s.WorkloadLabel(), s.cfg.Seed, s.rackID, s.traceID)
 	}
 	if st.Epoch < 0 {
 		return fmt.Errorf("%w: negative epoch %d", ErrBadState, st.Epoch)

@@ -394,7 +394,10 @@ func (s *Store) Append(typ byte, data []byte) error {
 // record appended so far (write-temp → fsync → rename → fsync-dir) and
 // then prunes the log: all segments and older snapshots become
 // redundant and are deleted. A crash anywhere in the sequence leaves
-// either the old snapshot+log or the new snapshot governing recovery.
+// either the old snapshot+log or the new snapshot governing recovery,
+// and the return value says which: nil once the new snapshot is
+// durable, even if pruning then fails (a logged warning; the next Open
+// or snapshot clears the leftovers).
 func (s *Store) SaveSnapshot(epoch int, state []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -439,13 +442,24 @@ func (s *Store) SaveSnapshot(epoch int, state []byte) error {
 	if err := s.fs.SyncDir(); err != nil {
 		return fmt.Errorf("wal: sync dir after snapshot: %w", err)
 	}
-	// Prune: the new snapshot covers the whole log, so every segment
-	// and every other snapshot is dead weight. Deleting them is not a
-	// correctness point — a crash mid-prune just leaves files the next
-	// Open discards.
-	for _, seg := range s.segNames {
+	s.lastSnapEpoch = epoch
+	if err := s.pruneLocked(name); err != nil {
+		s.logf("wal: pruning behind snapshot %s: %v", name, err)
+	}
+	return nil
+}
+
+// pruneLocked deletes every segment and every snapshot but keep: the
+// new snapshot covers the whole log, so they are dead weight. Deleting
+// them is not a correctness point — a crash mid-prune just leaves files
+// the next Open discards.
+//
+// ghlint:holds s.mu
+func (s *Store) pruneLocked(keep string) error {
+	for i, seg := range s.segNames {
 		if err := s.fs.Remove(seg); err != nil {
-			return fmt.Errorf("wal: prune segment: %w", err)
+			s.segNames = s.segNames[i:]
+			return err
 		}
 	}
 	s.segNames = nil
@@ -454,17 +468,13 @@ func (s *Store) SaveSnapshot(epoch int, state []byte) error {
 		return err
 	}
 	for _, n := range names {
-		if n != name && strings.HasPrefix(n, snapPrefix) && strings.HasSuffix(n, snapSuffix) {
+		if n != keep && strings.HasPrefix(n, snapPrefix) && strings.HasSuffix(n, snapSuffix) {
 			if err := s.fs.Remove(n); err != nil {
-				return fmt.Errorf("wal: prune snapshot: %w", err)
+				return err
 			}
 		}
 	}
-	if err := s.fs.SyncDir(); err != nil {
-		return fmt.Errorf("wal: sync dir after prune: %w", err)
-	}
-	s.lastSnapEpoch = epoch
-	return nil
+	return s.fs.SyncDir()
 }
 
 // Segments reports how many live segment files the log currently spans.
