@@ -15,6 +15,7 @@ import (
 
 	"greenhetero"
 	"greenhetero/internal/battery"
+	"greenhetero/internal/breaker"
 	"greenhetero/internal/core"
 	"greenhetero/internal/fit"
 	"greenhetero/internal/livenode"
@@ -96,7 +97,7 @@ func run() error {
 	}
 	collector, err := telemetry.NewCollector(all,
 		telemetry.WithRetry(telemetry.RetryPolicy{Attempts: 3, Seed: 42}),
-		telemetry.WithBreaker(telemetry.BreakerConfig{FailureThreshold: 5, CooldownEpochs: 2}))
+		telemetry.WithBreaker(breaker.Config{FailureThreshold: 5, CooldownEpochs: 2}))
 	if err != nil {
 		return err
 	}
@@ -104,8 +105,10 @@ func run() error {
 
 	ctx := context.Background()
 	var demand float64
-	for _, g := range rack.Groups() {
+	ws := make([]workload.Workload, rack.NumGroups()) // every group runs w
+	for i, g := range rack.Groups() {
 		demand += float64(g.Count) * workload.PeakEffW(g.Spec, w)
+		ws[i] = w
 	}
 	renewables := []float64{0, 300, 600, 900, 700, 400} // a morning's ramp
 
@@ -113,7 +116,7 @@ func run() error {
 	degraded := false // did last epoch's collection serve stale readings?
 	staleTotal := 0
 	for epoch, ren := range renewables {
-		dec, err := ctrl.StepObserved(core.Observation{RenewableW: ren, DemandW: demand, Stale: degraded}, w)
+		dec, err := ctrl.Step(core.Observation{RenewableW: ren, DemandW: demand, Stale: degraded}, ws)
 		if err != nil {
 			return err
 		}
@@ -154,7 +157,7 @@ func run() error {
 		}
 		degraded = staleEpoch > 0
 		staleTotal += staleEpoch
-		if err := ctrl.Feedback(w, feedback); err != nil {
+		if err := ctrl.Feedback(ws, feedback); err != nil {
 			return err
 		}
 		par := 0.0
@@ -172,7 +175,7 @@ func run() error {
 	fmt.Printf("stale readings served: %d", staleTotal)
 	open := 0
 	for _, h := range collector.Health() {
-		if h.State != telemetry.BreakerClosed {
+		if h.State != breaker.Closed {
 			open++
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"math"
 
 	"greenhetero/internal/battery"
+	"greenhetero/internal/breaker"
 	"greenhetero/internal/policy"
 	"greenhetero/internal/runner"
 	"greenhetero/internal/server"
@@ -244,8 +245,9 @@ type Config struct {
 	// and bit-identical to a pre-chaos fleet run.
 	Disturber Disturber
 	// Breaker tunes the per-rack circuit breaker that quarantines
-	// repeatedly failing racks (nil = defaults).
-	Breaker *BreakerConfig
+	// repeatedly failing racks (zero fields = defaults: threshold 2,
+	// cooldown 2 epochs).
+	Breaker breaker.Config
 	// Checkpointer, when non-nil, persists one rack's state through the
 	// WAL layer after each served epoch and drives its crash recovery.
 	Checkpointer Checkpointer
@@ -414,11 +416,6 @@ func Run(cfg Config) (*FleetResult, error) {
 	}
 	n := len(cfg.Racks)
 	d := cfg.Solar.Step
-	brk := BreakerConfig{}
-	if cfg.Breaker != nil {
-		brk = *cfg.Breaker
-	}
-	brk = brk.withDefaults()
 
 	site, err := battery.NewSiteBank(cfg.SiteBattery, n)
 	if err != nil {
@@ -449,6 +446,7 @@ func Run(cfg Config) (*FleetResult, error) {
 		}
 		sessions[i] = s
 		results[i] = s.NewResult()
+		ctl[i].brk = breaker.New(cfg.Breaker, defaultRackThreshold)
 		ctl[i].downSince = -1
 		ctl[i].health.Name = rc.Rack.Name()
 	}
@@ -505,9 +503,8 @@ func Run(cfg Config) (*FleetResult, error) {
 			case dist != nil && dist.Absent[i]:
 				mode[i] = modeAbsent
 				c.health.AbsentEpochs++
-			case c.state == rackQuarantined && c.cool > 0:
+			case !c.brk.Allow():
 				mode[i] = modeCooling
-				c.cool--
 				c.health.QuarantinedEpochs++
 				quarantined++
 			case dist != nil && dist.Down[i]:
@@ -692,7 +689,10 @@ func Run(cfg Config) (*FleetResult, error) {
 			case mode[i] == modeCooling:
 				se.DownRacks++
 			case failErr[i] != nil || outs[i].err != nil:
-				c.fail(e, brk)
+				c.brk.Fail()
+				if c.downSince < 0 {
+					c.downSince = e
+				}
 				c.health.FailedEpochs++
 				se.DownRacks++
 			case outs[i].served:
@@ -713,14 +713,19 @@ func Run(cfg Config) (*FleetResult, error) {
 					c.heldGridW = weightsFull[i] * supply.GridBudgetW
 				}
 				if committed {
-					if q, ended := c.recover(e); ended {
-						c.health.Quarantines = append(c.health.Quarantines, q)
+					if c.brk.Succeed() {
+						c.health.Quarantines = append(c.health.Quarantines,
+							Quarantine{FromEpoch: c.downSince, RejoinEpoch: e, RecoveryEpochs: e - c.downSince})
 					}
+					c.downSince = -1
 				} else {
 					// Served, but the daemon crashed before the epoch was
 					// durable: a breaker failure, and the rack recovers
 					// from the WAL before its next attempt.
-					c.fail(e, brk)
+					c.brk.Fail()
+					if c.downSince < 0 {
+						c.downSince = e
+					}
 				}
 			}
 			for sessions[i].Epoch() <= e {
@@ -743,7 +748,7 @@ func Run(cfg Config) (*FleetResult, error) {
 	for i, rc := range cfg.Racks {
 		out.Racks[i] = RackResult{Name: rc.Rack.Name(), Result: results[i]}
 		c := &ctl[i]
-		if c.state == rackQuarantined {
+		if c.brk.State() != breaker.Closed {
 			// Still down when the run ended: leave the episode open.
 			c.health.Quarantines = append(c.health.Quarantines,
 				Quarantine{FromEpoch: c.downSince, RejoinEpoch: -1, RecoveryEpochs: -1})

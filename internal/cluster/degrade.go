@@ -4,11 +4,11 @@
 // A Disturber (the chaos engine) writes a per-epoch effect vector —
 // crashed racks, agent partitions, PV derates, demand surges, grid and
 // battery shocks — and Run absorbs it: a rack whose step fails is
-// quarantined under a per-rack circuit breaker (the PR 3 telemetry
-// breaker shape: consecutive-failure threshold, cooldown, half-open
-// probe), its share of PV/battery/grid is redistributed by the live
-// allocator from the next epoch simply by its absence from the bid
-// vector, and its rejoin is tracked with a recovery time. A
+// quarantined under a per-rack circuit breaker (internal/breaker, the
+// same one that guards telemetry agents), its share of PV/battery/grid
+// is redistributed by the live allocator from the next epoch simply by
+// its absence from the bid vector, and its rejoin is tracked with a
+// recovery time. A
 // Checkpointer composes the WAL layer in: one rack's durable state is
 // committed after every served epoch, and a commit that dies at a
 // CrashFS crashpoint forces the rack through recovery before it may
@@ -16,30 +16,14 @@
 
 package cluster
 
-import "greenhetero/internal/sim"
+import (
+	"greenhetero/internal/breaker"
+	"greenhetero/internal/sim"
+)
 
-// BreakerConfig tunes the per-rack circuit breaker — the same shape as
-// the PR 3 telemetry breaker: FailureThreshold consecutive failed
-// epochs open it (quarantine), CooldownEpochs are skipped, then one
-// half-open probe epoch either closes it or re-opens the cooldown.
-type BreakerConfig struct {
-	// FailureThreshold consecutive failed epochs quarantine the rack
-	// (0 = default 2, negative = never quarantine).
-	FailureThreshold int
-	// CooldownEpochs is how many epochs a quarantined rack skips before
-	// its next probe (0 or negative = default 2).
-	CooldownEpochs int
-}
-
-func (b BreakerConfig) withDefaults() BreakerConfig {
-	if b.FailureThreshold == 0 {
-		b.FailureThreshold = 2
-	}
-	if b.CooldownEpochs <= 0 {
-		b.CooldownEpochs = 2
-	}
-	return b
-}
+// defaultRackThreshold is the consecutive failed epochs that quarantine
+// a rack when Config.Breaker leaves the threshold zero.
+const defaultRackThreshold = 2
 
 // Disturbance is one epoch's effect vector, written by a Disturber
 // before the epoch runs. Reset gives the all-clear state; the slices
@@ -167,19 +151,11 @@ type RackHealth struct {
 	Quarantines []Quarantine
 }
 
-// rack breaker states.
-const (
-	rackUp = iota
-	rackQuarantined
-)
-
 // rackCtl is the coordinator's per-rack degraded-mode state: breaker,
-// last-known bid, and the last granted allocation a partitioned rack
-// keeps stepping under.
+// quarantine episode, last-known bid, and the last granted allocation a
+// partitioned rack keeps stepping under.
 type rackCtl struct {
-	state int // rackUp or rackQuarantined
-	fails int // consecutive failed attempts
-	cool  int // cooldown epochs remaining while quarantined
+	brk breaker.Breaker
 	// downSince is the first failed epoch of the current episode, -1
 	// when healthy.
 	downSince int
@@ -195,37 +171,6 @@ type rackCtl struct {
 	heldGridW float64
 
 	health RackHealth
-}
-
-// fail records a failed attempt at epoch e against breaker b.
-func (c *rackCtl) fail(e int, b BreakerConfig) {
-	c.fails++
-	if c.downSince < 0 {
-		c.downSince = e
-	}
-	switch {
-	case c.state == rackQuarantined:
-		// Failed half-open probe: re-open the cooldown.
-		c.cool = b.CooldownEpochs
-	case b.FailureThreshold >= 0 && c.fails >= b.FailureThreshold:
-		c.state = rackQuarantined
-		c.cool = b.CooldownEpochs
-	}
-}
-
-// recover closes the breaker after a served-and-committed epoch e and
-// returns the completed quarantine episode, if one just ended.
-func (c *rackCtl) recover(e int) (Quarantine, bool) {
-	var q Quarantine
-	ended := false
-	if c.state == rackQuarantined {
-		q = Quarantine{FromEpoch: c.downSince, RejoinEpoch: e, RecoveryEpochs: e - c.downSince}
-		ended = true
-		c.state = rackUp
-	}
-	c.fails = 0
-	c.downSince = -1
-	return q, ended
 }
 
 // per-epoch rack modes, assigned serially before the parallel barrier.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"greenhetero/internal/breaker"
 	"greenhetero/internal/sim"
 )
 
@@ -88,7 +89,7 @@ func TestBreakerQuarantineAndRejoin(t *testing.T) {
 // quarantines, so the rack rejoins the moment the outage clears.
 func TestBreakerDisabled(t *testing.T) {
 	cfg := twoRackConfig(t)
-	cfg.Breaker = &BreakerConfig{FailureThreshold: -1}
+	cfg.Breaker = breaker.Config{FailureThreshold: -1}
 	cfg.Disturber = scriptedDisturber(func(e int, d *Disturbance) {
 		if e >= 2 && e < 5 {
 			d.Down[1] = true

@@ -107,8 +107,6 @@ type Controller struct {
 	// (projection entries, solver models, the warm solver cache). Owned
 	// by this controller, so it is never shared across goroutines.
 	scratch *policy.Scratch
-	// wsBuf backs StepObserved's uniform-workload expansion.
-	wsBuf []workload.Workload
 	// bidEntry backs BelievedDemandW's projection lookups.
 	bidEntry profiledb.Entry
 }
@@ -224,49 +222,19 @@ type Observation struct {
 	Stale bool
 }
 
-// Step runs one scheduling epoch with every group running the same
-// workload. obsRenewableW is the renewable power measured during this
-// epoch (the PSC sees it in real time; the *predictors* only consume it
-// at the end of the step, so planning uses forecasts). obsDemandW is the
-// rack demand observed last epoch.
+// Step runs one scheduling epoch. obs.RenewableW is the renewable power
+// measured during this epoch (the PSC sees it in real time; the
+// *predictors* only consume it at the end of the step, so planning uses
+// forecasts), and obs.DemandW is the rack demand observed last epoch.
+// groupWs holds one workload per rack group: real datacenter racks
+// collocate services, and the database keys per (configuration,
+// workload) pair either way. Step is the epoch hot path and is under the
+// allocfree contract; the genuinely-cold branches — training runs, Case
+// A demand shares, the zero-supply epoch — carry reasoned suppressions
+// that enumerate the per-epoch allocation budget.
 //
 // ghlint:allocfree
-func (c *Controller) Step(obsRenewableW, obsDemandW float64, w workload.Workload) (Decision, error) {
-	return c.StepObserved(Observation{RenewableW: obsRenewableW, DemandW: obsDemandW}, w)
-}
-
-// StepObserved is Step with explicit observation provenance.
-//
-// ghlint:allocfree
-func (c *Controller) StepObserved(obs Observation, w workload.Workload) (Decision, error) {
-	n := c.cfg.Rack.NumGroups()
-	if cap(c.wsBuf) < n {
-		c.wsBuf = make([]workload.Workload, n)
-	}
-	ws := c.wsBuf[:n]
-	for i := range ws {
-		ws[i] = w
-	}
-	return c.StepMixedObserved(obs, ws)
-}
-
-// StepMixed is Step for mixed racks: each group runs its own workload
-// (one entry per rack group). Real datacenter racks collocate services;
-// the database keys per (configuration, workload) pair either way.
-//
-// ghlint:allocfree
-func (c *Controller) StepMixed(obsRenewableW, obsDemandW float64, groupWs []workload.Workload) (Decision, error) {
-	return c.StepMixedObserved(Observation{RenewableW: obsRenewableW, DemandW: obsDemandW}, groupWs)
-}
-
-// StepMixedObserved is StepMixed with explicit observation provenance.
-// It is the epoch hot path (every Step variant funnels here) and is
-// under the allocfree contract; the genuinely-cold branches — training
-// runs, Case A demand shares, the zero-supply epoch — carry reasoned
-// suppressions that enumerate the per-epoch allocation budget.
-//
-// ghlint:allocfree
-func (c *Controller) StepMixedObserved(obs Observation, groupWs []workload.Workload) (Decision, error) {
+func (c *Controller) Step(obs Observation, groupWs []workload.Workload) (Decision, error) {
 	obsRenewableW, obsDemandW := obs.RenewableW, obs.DemandW
 	if obsRenewableW < 0 || obsDemandW < 0 {
 		return Decision{}, fmt.Errorf("core: negative observation ren=%v dem=%v", obsRenewableW, obsDemandW)
@@ -467,18 +435,10 @@ func (c *Controller) allocate(groupWs []workload.Workload, supplyW float64) ([]f
 }
 
 // Feedback folds one epoch's measured per-group samples back into the
-// database when the policy is adaptive (Algorithm 1 lines 8–10). Samples
-// are keyed by group index; every group runs w.
-func (c *Controller) Feedback(w workload.Workload, groupSamples map[int][]fit.Sample) error {
-	ws := make([]workload.Workload, c.cfg.Rack.NumGroups())
-	for i := range ws {
-		ws[i] = w
-	}
-	return c.FeedbackMixed(ws, groupSamples)
-}
-
-// FeedbackMixed is Feedback for mixed racks (one workload per group).
-func (c *Controller) FeedbackMixed(groupWs []workload.Workload, groupSamples map[int][]fit.Sample) error {
+// database when the policy is adaptive (Algorithm 1 lines 8–10).
+// Samples are keyed by group index; groupWs holds one workload per
+// group.
+func (c *Controller) Feedback(groupWs []workload.Workload, groupSamples map[int][]fit.Sample) error {
 	if !c.cfg.Policy.UpdatesDB() {
 		return nil
 	}

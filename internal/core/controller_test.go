@@ -72,6 +72,16 @@ func testConfig(t *testing.T) Config {
 	}
 }
 
+// uniform is one workload per group of ctrl's rack, every group
+// running w.
+func uniform(ctrl *Controller, w workload.Workload) []workload.Workload {
+	ws := make([]workload.Workload, ctrl.Rack().NumGroups())
+	for i := range ws {
+		ws[i] = w
+	}
+	return ws
+}
+
 func mustWorkload(t *testing.T, id string) workload.Workload {
 	t.Helper()
 	w, err := workload.Lookup(id)
@@ -120,7 +130,7 @@ func TestFirstStepRunsTrainingForAllGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := mustWorkload(t, workload.SPECjbb)
-	dec, err := ctrl.Step(500, 1000, w)
+	dec, err := ctrl.Step(Observation{RenewableW: 500, DemandW: 1000}, uniform(ctrl, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +144,7 @@ func TestFirstStepRunsTrainingForAllGroups(t *testing.T) {
 		t.Errorf("db entries = %d, want 2", cfg.DB.Len())
 	}
 	// Second step must not retrain.
-	dec, err = ctrl.Step(500, 1000, w)
+	dec, err = ctrl.Step(Observation{RenewableW: 500, DemandW: 1000}, uniform(ctrl, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +152,7 @@ func TestFirstStepRunsTrainingForAllGroups(t *testing.T) {
 		t.Errorf("retrained: %v calls %d", dec.TrainingRun, pb.calls)
 	}
 	// A new workload trains again.
-	if _, err := ctrl.Step(500, 1000, mustWorkload(t, workload.Canneal)); err != nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 500, DemandW: 1000}, uniform(ctrl, mustWorkload(t, workload.Canneal))); err != nil {
 		t.Fatal(err)
 	}
 	if pb.calls != 4 {
@@ -157,7 +167,7 @@ func TestTrainingFailureSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Step(500, 1000, mustWorkload(t, workload.SPECjbb)); err == nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 500, DemandW: 1000}, uniform(ctrl, mustWorkload(t, workload.SPECjbb))); err == nil {
 		t.Error("prober failure must surface")
 	}
 }
@@ -169,7 +179,7 @@ func TestCaseAIsUnconstrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := mustWorkload(t, workload.SPECjbb)
-	dec, err := ctrl.Step(5000, 1000, w)
+	dec, err := ctrl.Step(Observation{RenewableW: 5000, DemandW: 1000}, uniform(ctrl, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +205,13 @@ func TestScarcityAllocatesWithPolicy(t *testing.T) {
 	}
 	w := mustWorkload(t, workload.SPECjbb)
 	// Prime with two epochs, then a scarce one.
-	if _, err := ctrl.Step(700, 1100, w); err != nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 700, DemandW: 1100}, uniform(ctrl, w)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Step(700, 1100, w); err != nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 700, DemandW: 1100}, uniform(ctrl, w)); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ctrl.Step(700, 1100, w)
+	dec, err := ctrl.Step(Observation{RenewableW: 700, DemandW: 1100}, uniform(ctrl, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +241,10 @@ func TestNegativeObservationRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Step(-1, 100, mustWorkload(t, workload.SPECjbb)); err == nil {
+	if _, err := ctrl.Step(Observation{RenewableW: -1, DemandW: 100}, uniform(ctrl, mustWorkload(t, workload.SPECjbb))); err == nil {
 		t.Error("negative renewable must error")
 	}
-	if _, err := ctrl.Step(1, -100, mustWorkload(t, workload.SPECjbb)); err == nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 1, DemandW: -100}, uniform(ctrl, mustWorkload(t, workload.SPECjbb))); err == nil {
 		t.Error("negative demand must error")
 	}
 }
@@ -249,14 +259,14 @@ func TestFeedbackGatedByPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Step(500, 1000, w); err != nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 500, DemandW: 1000}, uniform(ctrl, w)); err != nil {
 		t.Fatal(err)
 	}
 	before, err := cfg.DB.Lookup(profiledb.Key{ServerID: server.XeonE52620, WorkloadID: w.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrl.Feedback(w, map[int][]fit.Sample{0: {sample, {X: 100, Y: 300}}}); err != nil {
+	if err := ctrl.Feedback(uniform(ctrl, w), map[int][]fit.Sample{0: {sample, {X: 100, Y: 300}}}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := cfg.DB.Lookup(profiledb.Key{ServerID: server.XeonE52620, WorkloadID: w.ID})
@@ -274,10 +284,10 @@ func TestFeedbackGatedByPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrlA.Step(500, 1000, w); err != nil {
+	if _, err := ctrlA.Step(Observation{RenewableW: 500, DemandW: 1000}, uniform(ctrlA, w)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrlA.Feedback(w, map[int][]fit.Sample{0: {sample, {X: 100, Y: 300}}}); err != nil {
+	if err := ctrlA.Feedback(uniform(ctrlA, w), map[int][]fit.Sample{0: {sample, {X: 100, Y: 300}}}); err != nil {
 		t.Fatal(err)
 	}
 	e, err := cfgA.DB.Lookup(profiledb.Key{ServerID: server.XeonE52620, WorkloadID: w.ID})
@@ -296,10 +306,10 @@ func TestFeedbackBadGroupIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := mustWorkload(t, workload.SPECjbb)
-	if _, err := ctrl.Step(500, 1000, w); err != nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 500, DemandW: 1000}, uniform(ctrl, w)); err != nil {
 		t.Fatal(err)
 	}
-	err = ctrl.Feedback(w, map[int][]fit.Sample{7: {{X: 1, Y: 1}}})
+	err = ctrl.Feedback(uniform(ctrl, w), map[int][]fit.Sample{7: {{X: 1, Y: 1}}})
 	if err == nil {
 		t.Error("out-of-range group index must error")
 	}
@@ -320,7 +330,7 @@ func TestRecoveryLockoutAfterDoD(t *testing.T) {
 	var sawGridChargeDuringLockout bool
 	for e := 0; e < 40; e++ {
 		atFloorBefore := cfg.Battery.AtDoD()
-		dec, err := ctrl.Step(0, 900, w)
+		dec, err := ctrl.Step(Observation{RenewableW: 0, DemandW: 900}, uniform(ctrl, w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,13 +379,13 @@ func TestManualPolicyThroughController(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prime predictors, then force scarcity so Manual actually trials.
-	if _, err := ctrl.Step(600, 1100, w); err != nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 600, DemandW: 1100}, uniform(ctrl, w)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Step(600, 1100, w); err != nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 600, DemandW: 1100}, uniform(ctrl, w)); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ctrl.Step(600, 1100, w)
+	dec, err := ctrl.Step(Observation{RenewableW: 600, DemandW: 1100}, uniform(ctrl, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +413,7 @@ func TestStepMixedWorkloads(t *testing.T) {
 		mustWorkload(t, workload.SPECjbb),
 		mustWorkload(t, workload.Memcached),
 	}
-	dec, err := ctrl.StepMixed(600, 1000, ws)
+	dec, err := ctrl.Step(Observation{RenewableW: 600, DemandW: 1000}, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,10 +432,10 @@ func TestStepMixedWorkloads(t *testing.T) {
 		t.Errorf("db entries = %d, want 2", cfg.DB.Len())
 	}
 	// Mismatched slice lengths and empty workloads are rejected.
-	if _, err := ctrl.StepMixed(600, 1000, ws[:1]); err == nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 600, DemandW: 1000}, ws[:1]); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := ctrl.StepMixed(600, 1000, []workload.Workload{{}, {}}); err == nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 600, DemandW: 1000}, []workload.Workload{{}, {}}); err == nil {
 		t.Error("empty workload should error")
 	}
 }
@@ -440,10 +450,10 @@ func TestFeedbackMixedKeying(t *testing.T) {
 		mustWorkload(t, workload.SPECjbb),
 		mustWorkload(t, workload.Memcached),
 	}
-	if _, err := ctrl.StepMixed(600, 1000, ws); err != nil {
+	if _, err := ctrl.Step(Observation{RenewableW: 600, DemandW: 1000}, ws); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrl.FeedbackMixed(ws, map[int][]fit.Sample{
+	if err := ctrl.Feedback(ws, map[int][]fit.Sample{
 		1: {{X: 55, Y: 10}, {X: 60, Y: 12}},
 	}); err != nil {
 		t.Fatal(err)
@@ -455,7 +465,7 @@ func TestFeedbackMixedKeying(t *testing.T) {
 	if e.Refits != 1 {
 		t.Errorf("refits = %d, want 1", e.Refits)
 	}
-	if err := ctrl.FeedbackMixed(ws[:1], nil); err == nil {
+	if err := ctrl.Feedback(ws[:1], nil); err == nil {
 		t.Error("length mismatch should error")
 	}
 }

@@ -28,7 +28,7 @@ func TestStaleObservationSkipsPredictors(t *testing.T) {
 	}
 	w := mustWorkload(t, workload.SPECjbb)
 
-	fresh, err := ctrl.StepObserved(Observation{RenewableW: 600, DemandW: 900}, w)
+	fresh, err := ctrl.Step(Observation{RenewableW: 600, DemandW: 900}, uniform(ctrl, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestStaleObservationSkipsPredictors(t *testing.T) {
 		t.Fatalf("fresh epoch fed predictors %d/%d times, want 1/1", len(ren.observed), len(dem.observed))
 	}
 
-	stale, err := ctrl.StepObserved(Observation{RenewableW: 600, DemandW: 900, Stale: true}, w)
+	stale, err := ctrl.Step(Observation{RenewableW: 600, DemandW: 900, Stale: true}, uniform(ctrl, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,22 +58,22 @@ func TestStaleObservationSkipsPredictors(t *testing.T) {
 	}
 }
 
-// TestStepDelegatesToObserved: the legacy entry points are the Stale:
-// false case of the observed ones.
-func TestStepDelegatesToObserved(t *testing.T) {
+// TestStepFreshObservation: an Observation that leaves Stale false is a
+// fresh epoch, and its values are still validated.
+func TestStepFreshObservation(t *testing.T) {
 	ctrl, err := New(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := mustWorkload(t, workload.SPECjbb)
-	d, err := ctrl.Step(600, 900, w)
+	d, err := ctrl.Step(Observation{RenewableW: 600, DemandW: 900}, uniform(ctrl, w))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Degraded {
 		t.Error("Step marked degraded")
 	}
-	if _, err := ctrl.StepMixedObserved(Observation{RenewableW: -1}, []workload.Workload{w, w}); err == nil {
+	if _, err := ctrl.Step(Observation{RenewableW: -1}, []workload.Workload{w, w}); err == nil {
 		t.Error("negative observation should error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"greenhetero/internal/breaker"
 	"greenhetero/internal/telemetry"
 )
 
@@ -67,7 +68,7 @@ func TestStatusExposesAgentHealth(t *testing.T) {
 		Tick:    time.Hour, // no ticks needed
 		Health: stubHealth{{
 			Addr:  "10.0.0.1:7000",
-			State: telemetry.BreakerOpen,
+			State: breaker.Open,
 			Stale: true,
 		}},
 	})

@@ -2,9 +2,14 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
+
+	"greenhetero/internal/breaker"
+	"greenhetero/internal/telemetry"
 )
 
 // Restart-from-state-dir lifecycle: a daemon that ran (Start → ticks →
@@ -160,6 +165,76 @@ func TestStopWithoutStartStillCheckpoints(t *testing.T) {
 	}
 	if got := len(dB.History()); got != 2 {
 		t.Errorf("recovered history has %d entries, want 2", got)
+	}
+}
+
+// restoringHealth is a HealthSource that also restores: it reports a
+// fixed snapshot and records what recovery hands back.
+type restoringHealth struct {
+	report   []telemetry.AgentHealth
+	restored []telemetry.AgentHealth
+	err      error
+}
+
+func (h *restoringHealth) Health() []telemetry.AgentHealth { return h.report }
+
+func (h *restoringHealth) RestoreHealth(snap []telemetry.AgentHealth) error {
+	h.restored = snap
+	return h.err
+}
+
+// TestRestartRestoresAgentHealth: agent health persisted with every
+// breaker state decodes on the next life, and the HealthRestorer
+// receives exactly what the previous life reported.
+func TestRestartRestoresAgentHealth(t *testing.T) {
+	dir := t.TempDir()
+	quiet := func(string, ...any) {}
+	want := []telemetry.AgentHealth{
+		{Addr: "10.0.0.1:7000", State: breaker.Open, ConsecutiveFailures: 3, Failures: 3, Stale: true, LastError: "dial timeout"},
+		{Addr: "10.0.0.2:7000", State: breaker.HalfOpen, ConsecutiveFailures: 1, Successes: 4, Failures: 1},
+		{Addr: "10.0.0.3:7000", State: breaker.Closed, Successes: 9},
+	}
+	dA, err := New(Config{
+		Session:  testSession(t),
+		Tick:     time.Hour,
+		StateDir: dir,
+		Health:   &restoringHealth{report: want},
+		Logf:     quiet,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dA.StepEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	dA.Stop()
+
+	hB := &restoringHealth{report: want}
+	dB, err := New(Config{
+		Session:  testSession(t),
+		Tick:     time.Hour,
+		StateDir: dir,
+		Health:   hB,
+		Logf:     quiet,
+	})
+	if err != nil {
+		t.Fatalf("restart over a state dir with agent health: %v", err)
+	}
+	if !reflect.DeepEqual(hB.restored, want) {
+		t.Errorf("restored health = %+v, want %+v", hB.restored, want)
+	}
+	dB.Stop()
+
+	// A refused restore fails New, prefixed once.
+	_, err = New(Config{
+		Session:  testSession(t),
+		Tick:     time.Hour,
+		StateDir: dir,
+		Health:   &restoringHealth{err: errors.New("refused")},
+		Logf:     quiet,
+	})
+	if err == nil || err.Error() != "daemon: recover: refused" {
+		t.Errorf("refused restore: err = %v, want \"daemon: recover: refused\"", err)
 	}
 }
 

@@ -37,25 +37,26 @@ type snapshotData struct {
 }
 
 // recoverHistory rebuilds the history ring from the journal's payloads
-// and re-seeds agent health from the snapshot.
+// and re-seeds agent health from the snapshot. New prefixes its errors
+// with "daemon: recover:".
 func recoverHistory(rec sim.JournalRecovery, limit int, health HealthSource) ([]sim.EpochResult, error) {
 	var history []sim.EpochResult
 	if rec.Snapshot != nil {
 		var sd snapshotData
 		if err := json.Unmarshal(rec.Snapshot, &sd); err != nil {
-			return nil, fmt.Errorf("daemon: recover: decode snapshot: %w", err)
+			return nil, fmt.Errorf("decode snapshot: %w", err)
 		}
 		history = sd.History
 		if hr, ok := health.(HealthRestorer); ok && len(sd.Agents) > 0 {
 			if err := hr.RestoreHealth(sd.Agents); err != nil {
-				return nil, fmt.Errorf("daemon: recover: %w", err)
+				return nil, err
 			}
 		}
 	}
 	for i, raw := range rec.Tail {
 		var er sim.EpochResult
 		if err := json.Unmarshal(raw, &er); err != nil {
-			return nil, fmt.Errorf("daemon: recover: decode epoch result %d of the log tail: %w", i, err)
+			return nil, fmt.Errorf("decode epoch result %d of the log tail: %w", i, err)
 		}
 		history = appendTrimmed(history, er, limit)
 	}

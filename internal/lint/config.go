@@ -44,6 +44,10 @@ var deterministicCore = map[string]bool{
 	// jitter, crashpoints) flows from DeriveSeed-keyed streams spent at
 	// engine build time.
 	"chaos": true,
+	// breaker: the circuit breaker both the fleet's per-rack quarantine
+	// and the Monitor's per-agent health run on; its transitions are
+	// counted in epochs, never in wall time.
+	"breaker": true,
 }
 
 // wallClockAllowed lists the packages that legitimately face the wall

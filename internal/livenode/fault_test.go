@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"greenhetero/internal/battery"
+	"greenhetero/internal/breaker"
 	"greenhetero/internal/core"
 	"greenhetero/internal/faultnet"
 	"greenhetero/internal/policy"
@@ -167,7 +168,7 @@ func TestClosedLoopDegradedMinority(t *testing.T) {
 	collector, err := telemetry.NewCollector(monitorAddrs,
 		telemetry.WithRetry(fastRetry(1)), // no retries: every drop must surface as stale
 		telemetry.WithTimeout(150*time.Millisecond),
-		telemetry.WithBreaker(telemetry.BreakerConfig{FailureThreshold: 10}))
+		telemetry.WithBreaker(breaker.Config{FailureThreshold: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +176,14 @@ func TestClosedLoopDegradedMinority(t *testing.T) {
 
 	ctx := context.Background()
 	demand := 0.0
-	for _, g := range rack.Groups() {
+	ws := make([]workload.Workload, rack.NumGroups()) // every group runs w
+	for i, g := range rack.Groups() {
 		demand += float64(g.Count) * workload.PeakEffW(g.Spec, w)
+		ws[i] = w
 	}
 	staleTotal := 0
 	for epoch := 0; epoch < 8; epoch++ {
-		dec, err := ctrl.Step(300, demand, w)
+		dec, err := ctrl.Step(core.Observation{RenewableW: 300, DemandW: demand}, ws)
 		if err != nil {
 			t.Fatalf("epoch %d: controller: %v", epoch, err)
 		}

@@ -172,13 +172,15 @@ func TestClosedLoopOverTCP(t *testing.T) {
 
 	ctx := context.Background()
 	demand := 0.0
-	for _, g := range rack.Groups() {
+	ws := make([]workload.Workload, rack.NumGroups()) // every group runs w
+	for i, g := range rack.Groups() {
 		demand += float64(g.Count) * workload.PeakEffW(g.Spec, w)
+		ws[i] = w
 	}
 	// Scarce renewable: the controller must cap the nodes.
 	var lastPerf float64
 	for epoch := 0; epoch < 4; epoch++ {
-		dec, err := ctrl.Step(300, demand, w)
+		dec, err := ctrl.Step(core.Observation{RenewableW: 300, DemandW: demand}, ws)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}

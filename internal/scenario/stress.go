@@ -36,6 +36,7 @@ import (
 	"math"
 	"sort"
 
+	"greenhetero/internal/breaker"
 	"greenhetero/internal/chaos"
 	"greenhetero/internal/cluster"
 	"greenhetero/internal/policy"
@@ -65,12 +66,6 @@ type FleetGenSpec struct {
 	Racks     int                `json:"racks"`
 	Templates []RackTemplateSpec `json:"templates"`
 	Startup   *StartupSpec       `json:"startup,omitempty"`
-}
-
-// BreakerSpec tunes the fleet's per-rack circuit breaker.
-type BreakerSpec struct {
-	FailureThreshold int `json:"failureThreshold,omitempty"`
-	CooldownEpochs   int `json:"cooldownEpochs,omitempty"`
 }
 
 // ChaosEventSpec is one scheduled chaos event. Only the fields its
@@ -114,7 +109,7 @@ type StressSpec struct {
 	// SnapshotEvery is the WAL snapshot cadence in commits (default 8).
 	SnapshotEvery int `json:"snapshotEvery,omitempty"`
 	// Breaker tunes the per-rack circuit breaker.
-	Breaker *BreakerSpec `json:"breaker,omitempty"`
+	Breaker *breaker.Config `json:"breaker,omitempty"`
 }
 
 // stressKinds are the accepted chaos event kinds.
@@ -498,11 +493,8 @@ func (sc *Scenario) BuildStorm() (chaos.StormConfig, error) {
 	if err != nil {
 		return chaos.StormConfig{}, err
 	}
-	if b := st.Breaker; b != nil {
-		fleet.Breaker = &cluster.BreakerConfig{
-			FailureThreshold: b.FailureThreshold,
-			CooldownEpochs:   b.CooldownEpochs,
-		}
+	if st.Breaker != nil {
+		fleet.Breaker = *st.Breaker
 	}
 
 	names, tmpls, err := st.rackNames(sc)

@@ -386,7 +386,7 @@ type Session struct {
 	intensityScale float64
 
 	// fbMap and fbBufs are Step's reusable feedback staging: the
-	// database copies samples out inside FeedbackMixed, so the map and
+	// database copies samples out inside Feedback, so the map and
 	// per-group slices are safe to recycle every epoch instead of
 	// reallocating.
 	fbMap  map[int][]fit.Sample
@@ -559,7 +559,7 @@ func (s *Session) step(renewable float64) (EpochResult, error) {
 	s.tryIntensity = intensity
 	s.pb.intensity = intensity
 
-	dec, err := s.ctrl.StepMixed(renewable, s.prevDemand, c.GroupWorkloads)
+	dec, err := s.ctrl.Step(core.Observation{RenewableW: renewable, DemandW: s.prevDemand}, c.GroupWorkloads)
 	if err != nil {
 		return EpochResult{}, fmt.Errorf("sim: epoch %d: %w", e, err)
 	}
@@ -615,7 +615,7 @@ func (s *Session) step(renewable float64) (EpochResult, error) {
 	}
 	er.EPU = metrics.EPU(er.UsedW, er.SupplyW)
 
-	if err := s.ctrl.FeedbackMixed(c.GroupWorkloads, feedback); err != nil {
+	if err := s.ctrl.Feedback(c.GroupWorkloads, feedback); err != nil {
 		return EpochResult{}, fmt.Errorf("sim: epoch %d feedback: %w", e, err)
 	}
 	s.prevDemand = er.DemandW

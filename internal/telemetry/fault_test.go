@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"greenhetero/internal/breaker"
 	"greenhetero/internal/faultnet"
 )
 
@@ -91,7 +92,7 @@ func TestCollectRetriesTransientFault(t *testing.T) {
 		t.Errorf("exchanges = %d, want 2 (reset + retried success)", got)
 	}
 	h := c.Health()[0]
-	if h.State != BreakerClosed || h.Successes != 1 || h.ConsecutiveFailures != 0 {
+	if h.State != breaker.Closed || h.Successes != 1 || h.ConsecutiveFailures != 0 {
 		t.Errorf("health = %+v, want closed with one success", h)
 	}
 }
@@ -123,7 +124,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		faultnet.NewFixedSchedule(faultnet.Reset, faultnet.Reset))
 	c, err := NewCollector([]string{p.Addr()},
 		WithRetry(fastRetry(1)), // one attempt per epoch so failures count 1:1
-		WithBreaker(BreakerConfig{FailureThreshold: 2, CooldownEpochs: 2}),
+		WithBreaker(breaker.Config{FailureThreshold: 2, CooldownEpochs: 2}),
 		WithTimeout(time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	step := func(epoch int, wantState BreakerState, wantExchanges int64) {
+	step := func(epoch int, wantState breaker.State, wantExchanges int64) {
 		t.Helper()
 		// Every failed epoch of a single-agent collector is a majority
 		// failure; the breaker bookkeeping is what this test pins.
@@ -144,10 +145,10 @@ func TestBreakerLifecycle(t *testing.T) {
 		}
 	}
 
-	step(1, BreakerClosed, 1) // first reset: one failure, under threshold
-	step(2, BreakerOpen, 2)   // second reset trips the breaker
-	step(3, BreakerOpen, 2)   // cooling: no network traffic
-	step(4, BreakerOpen, 2)   // still cooling
+	step(1, breaker.Closed, 1) // first reset: one failure, under threshold
+	step(2, breaker.Open, 2)   // second reset trips the breaker
+	step(3, breaker.Open, 2)   // cooling: no network traffic
+	step(4, breaker.Open, 2)   // still cooling
 	// Cooldown elapsed: a single half-open probe hits the (now healthy)
 	// agent and closes the breaker.
 	results, err := c.Collect(ctx)
@@ -157,7 +158,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if r := results[0]; r.Err != nil || r.Stale || r.Reading.NodeID != "n1" {
 		t.Errorf("probe result = %+v, want fresh reading", r)
 	}
-	if h := c.Health()[0]; h.State != BreakerClosed || h.ConsecutiveFailures != 0 {
+	if h := c.Health()[0]; h.State != breaker.Closed || h.ConsecutiveFailures != 0 {
 		t.Errorf("post-probe health = %+v, want closed", h)
 	}
 	if got := p.Exchanges(); got != 3 {
@@ -172,7 +173,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 		faultnet.NewFixedSchedule(faultnet.Reset, faultnet.Reset)) // trip + failed probe
 	c, err := NewCollector([]string{p.Addr()},
 		WithRetry(fastRetry(1)),
-		WithBreaker(BreakerConfig{FailureThreshold: 1, CooldownEpochs: 1}),
+		WithBreaker(breaker.Config{FailureThreshold: 1, CooldownEpochs: 1}),
 		WithTimeout(time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +183,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	_, _ = c.Collect(ctx) // trip: open
 	_, _ = c.Collect(ctx) // cooldown skip
 	_, _ = c.Collect(ctx) // half-open probe hits the second reset
-	if h := c.Health()[0]; h.State != BreakerOpen {
+	if h := c.Health()[0]; h.State != breaker.Open {
 		t.Errorf("state after failed probe = %v, want open", h.State)
 	}
 	_, _ = c.Collect(ctx) // cooldown again

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"testing"
+
+	"greenhetero/internal/breaker"
 )
 
 // TestRestoreHealthRoundTrip: Health → RestoreHealth into a fresh
@@ -10,9 +12,9 @@ import (
 func TestRestoreHealthRoundTrip(t *testing.T) {
 	addrs := []string{"10.0.0.1:7000", "10.0.0.2:7000"}
 	snap := []AgentHealth{
-		{Addr: addrs[0], State: BreakerOpen, ConsecutiveFailures: 4,
+		{Addr: addrs[0], State: breaker.Open, ConsecutiveFailures: 4,
 			Successes: 10, Failures: 6, Stale: true, LastError: "dial timeout"},
-		{Addr: addrs[1], State: BreakerClosed, ConsecutiveFailures: 0,
+		{Addr: addrs[1], State: breaker.Closed, ConsecutiveFailures: 0,
 			Successes: 16, Failures: 0},
 	}
 
@@ -49,14 +51,14 @@ func TestRestoreHealthDuplicateAddrs(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := []AgentHealth{
-		{Addr: addrs[0], State: BreakerOpen, ConsecutiveFailures: 3, Failures: 3},
-		{Addr: addrs[1], State: BreakerClosed, Successes: 5},
+		{Addr: addrs[0], State: breaker.Open, ConsecutiveFailures: 3, Failures: 3},
+		{Addr: addrs[1], State: breaker.Closed, Successes: 5},
 	}
 	if err := c.RestoreHealth(snap); err != nil {
 		t.Fatal(err)
 	}
 	got := c.Health()
-	if got[0].State != BreakerOpen || got[1].State != BreakerClosed {
+	if got[0].State != breaker.Open || got[1].State != breaker.Closed {
 		t.Errorf("duplicate addrs restored out of order: %+v", got)
 	}
 }
@@ -70,14 +72,14 @@ func TestRestoreHealthTopologyChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := []AgentHealth{
-		{Addr: "10.0.0.1:7000", State: BreakerOpen, ConsecutiveFailures: 2, Failures: 2},
-		{Addr: "10.0.0.9:7000", State: BreakerHalfOpen, ConsecutiveFailures: 1, Failures: 1},
+		{Addr: "10.0.0.1:7000", State: breaker.Open, ConsecutiveFailures: 2, Failures: 2},
+		{Addr: "10.0.0.9:7000", State: breaker.HalfOpen, ConsecutiveFailures: 1, Failures: 1},
 	}
 	if err := c.RestoreHealth(snap); err != nil {
 		t.Fatal(err)
 	}
 	got := c.Health()
-	if len(got) != 1 || got[0].State != BreakerHalfOpen {
+	if len(got) != 1 || got[0].State != breaker.HalfOpen {
 		t.Errorf("health = %+v", got)
 	}
 }
@@ -89,13 +91,13 @@ func TestRestoreHealthRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RestoreHealth([]AgentHealth{{Addr: "10.0.0.1:7000", State: BreakerState(99)}}); err == nil {
+	if err := c.RestoreHealth([]AgentHealth{{Addr: "10.0.0.1:7000", State: breaker.State(99)}}); err == nil {
 		t.Error("out-of-range breaker state accepted")
 	}
 	if err := c.RestoreHealth([]AgentHealth{{Addr: "10.0.0.1:7000", ConsecutiveFailures: -1}}); err == nil {
 		t.Error("negative consecutive failures accepted")
 	}
-	if got := c.Health()[0]; got.State != BreakerClosed || got.Failures != 0 {
+	if got := c.Health()[0]; got.State != breaker.Closed || got.Failures != 0 {
 		t.Errorf("failed restore mutated the collector: %+v", got)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"greenhetero/internal/breaker"
 	"greenhetero/internal/runner"
 )
 
@@ -254,63 +255,17 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// BreakerConfig tunes the per-agent circuit breaker.
-type BreakerConfig struct {
-	// FailureThreshold consecutive failed exchanges open the breaker
-	// (default 5). Negative disables the breaker entirely.
-	FailureThreshold int
-	// CooldownEpochs is how many Collect epochs an open breaker skips
-	// an agent before probing it half-open again (default 2).
-	CooldownEpochs int
-}
-
-// withDefaults fills zero fields.
-func (b BreakerConfig) withDefaults() BreakerConfig {
-	if b.FailureThreshold == 0 {
-		b.FailureThreshold = 5
-	}
-	if b.CooldownEpochs <= 0 {
-		b.CooldownEpochs = 2
-	}
-	return b
-}
-
-// BreakerState is a circuit breaker position.
-type BreakerState int
-
-const (
-	// BreakerClosed: the agent is healthy; exchanges flow normally.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen: consecutive failures tripped the breaker; the agent
-	// is skipped until the cooldown elapses.
-	BreakerOpen
-	// BreakerHalfOpen: the cooldown elapsed; the next exchange is a
-	// single probe that either closes or reopens the breaker.
-	BreakerHalfOpen
-)
-
-// String renders the state for status endpoints.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// MarshalJSON encodes the state as its string form.
-func (s BreakerState) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
+// defaultAgentThreshold is the consecutive failed exchanges that open
+// an agent's breaker when the configured threshold is zero.
+const defaultAgentThreshold = 5
 
 // AgentHealth is one agent's health snapshot.
 type AgentHealth struct {
-	Addr                string       `json:"addr"`
-	State               BreakerState `json:"state"`
-	ConsecutiveFailures int          `json:"consecutiveFailures"`
-	Successes           uint64       `json:"successes"`
-	Failures            uint64       `json:"failures"`
+	Addr                string        `json:"addr"`
+	State               breaker.State `json:"state"`
+	ConsecutiveFailures int           `json:"consecutiveFailures"`
+	Successes           uint64        `json:"successes"`
+	Failures            uint64        `json:"failures"`
 	// Stale reports whether the agent's latest Collect was served from
 	// its last-known-good reading instead of a fresh sample.
 	Stale     bool   `json:"stale"`
@@ -333,11 +288,7 @@ type agentState struct {
 	rd *bufio.Reader
 
 	// ghlint:guardedby mu
-	state BreakerState
-	// ghlint:guardedby mu
-	fails int // consecutive failures
-	// ghlint:guardedby mu
-	coolEpoch int // Collect epochs spent open
+	brk breaker.Breaker
 	// ghlint:guardedby mu
 	succTotal uint64
 	// ghlint:guardedby mu
@@ -369,7 +320,7 @@ type Collector struct {
 	agents  []*agentState
 	timeout time.Duration
 	retry   RetryPolicy
-	breaker BreakerConfig
+	breaker breaker.Config
 }
 
 // CollectorOption configures a Collector.
@@ -389,10 +340,10 @@ func WithRetry(p RetryPolicy) CollectorOption {
 	return func(c *Collector) { c.retry = p.withDefaults() }
 }
 
-// WithBreaker sets the circuit-breaker configuration (zero fields take
-// defaults).
-func WithBreaker(b BreakerConfig) CollectorOption {
-	return func(c *Collector) { c.breaker = b.withDefaults() }
+// WithBreaker sets the per-agent circuit-breaker configuration (zero
+// fields take defaults: threshold 5, cooldown 2 Collect epochs).
+func WithBreaker(b breaker.Config) CollectorOption {
+	return func(c *Collector) { c.breaker = b }
 }
 
 // ErrNoAgents is returned when a collector is built without addresses.
@@ -415,7 +366,6 @@ func NewCollector(addrs []string, opts ...CollectorOption) (*Collector, error) {
 	c := &Collector{
 		timeout: 2 * time.Second,
 		retry:   RetryPolicy{}.withDefaults(),
-		breaker: BreakerConfig{}.withDefaults(),
 	}
 	for _, o := range opts {
 		o(c)
@@ -429,6 +379,7 @@ func NewCollector(addrs []string, opts ...CollectorOption) (*Collector, error) {
 		c.agents[i] = &agentState{
 			addr: addr,
 			rng:  rand.New(rand.NewSource(seed)),
+			brk:  breaker.New(c.breaker, defaultAgentThreshold),
 		}
 	}
 	return c, nil
@@ -452,8 +403,8 @@ func (c *Collector) Health() []AgentHealth {
 		a.mu.Lock()
 		h := AgentHealth{
 			Addr:                a.addr,
-			State:               a.state,
-			ConsecutiveFailures: a.fails,
+			State:               a.brk.State(),
+			ConsecutiveFailures: a.brk.Failures(),
 			Successes:           a.succTotal,
 			Failures:            a.failTotal,
 			Stale:               a.staleLast,
@@ -480,7 +431,7 @@ func (c *Collector) Health() []AgentHealth {
 // it has a fresh one. Validation happens before anything is applied.
 func (c *Collector) RestoreHealth(snap []AgentHealth) error {
 	for i, h := range snap {
-		if h.State < BreakerClosed || h.State > BreakerHalfOpen {
+		if h.State < breaker.Closed || h.State > breaker.HalfOpen {
 			return fmt.Errorf("telemetry: restore health: entry %d (%s): unknown breaker state %d", i, h.Addr, h.State)
 		}
 		if h.ConsecutiveFailures < 0 {
@@ -501,9 +452,7 @@ func (c *Collector) RestoreHealth(snap []AgentHealth) error {
 		a := q[0]
 		byAddr[h.Addr] = q[1:]
 		a.mu.Lock()
-		a.state = h.State
-		a.fails = h.ConsecutiveFailures
-		a.coolEpoch = 0
+		a.brk.Restore(h.State, h.ConsecutiveFailures)
 		a.succTotal = h.Successes
 		a.failTotal = h.Failures
 		a.staleLast = h.Stale
@@ -592,29 +541,28 @@ func (c *Collector) collectOne(ctx context.Context, a *agentState) Result {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	attempts := c.retry.Attempts
-	switch a.state {
-	case BreakerOpen:
-		a.coolEpoch++
-		if a.coolEpoch <= c.breaker.CooldownEpochs {
-			// Still cooling: skip the network entirely.
-			a.staleLast = a.hasGood
-			return c.degraded(a, fmt.Errorf("%w: %s (%d/%d cooldown epochs)",
-				ErrCircuitOpen, a.addr, a.coolEpoch, c.breaker.CooldownEpochs))
-		}
-		a.state = BreakerHalfOpen
-		attempts = 1 // a single probe, no retries
-	case BreakerHalfOpen:
-		attempts = 1
+	if !a.brk.Allow() {
+		// Still cooling: skip the network entirely.
+		a.staleLast = a.hasGood
+		cd := a.brk.Config().CooldownEpochs
+		return c.degraded(a, fmt.Errorf("%w: %s (%d/%d cooldown epochs)",
+			ErrCircuitOpen, a.addr, cd-a.brk.CooldownLeft(), cd))
 	}
-
+	attempts := c.retry.Attempts
+	if a.brk.State() == breaker.HalfOpen {
+		attempts = 1 // a single probe, no retries
+	}
 	reading, err := c.exchangeLocked(ctx, a, request{Op: "sample"}, attempts)
 	if err != nil {
-		c.recordFailureLocked(a, err)
+		a.brk.Fail()
+		a.failTotal++
+		a.lastErr = err
 		a.staleLast = a.hasGood
 		return c.degraded(a, err)
 	}
-	c.recordSuccessLocked(a)
+	a.brk.Succeed()
+	a.succTotal++
+	a.lastErr = nil
 	a.lastGood = reading
 	a.hasGood = true
 	a.staleLast = false
@@ -632,36 +580,6 @@ func (c *Collector) degraded(a *agentState, err error) Result {
 	return Result{Addr: a.addr, Err: err}
 }
 
-// recordFailureLocked updates health counters and may open the breaker.
-//
-// ghlint:holds a.mu
-func (c *Collector) recordFailureLocked(a *agentState, err error) {
-	a.fails++
-	a.failTotal++
-	a.lastErr = err
-	if a.state == BreakerHalfOpen {
-		// The probe failed: reopen and restart the cooldown.
-		a.state = BreakerOpen
-		a.coolEpoch = 0
-		return
-	}
-	if c.breaker.FailureThreshold >= 0 && a.fails >= c.breaker.FailureThreshold {
-		a.state = BreakerOpen
-		a.coolEpoch = 0
-	}
-}
-
-// recordSuccessLocked resets health state and closes the breaker.
-//
-// ghlint:holds a.mu
-func (c *Collector) recordSuccessLocked(a *agentState) {
-	a.fails = 0
-	a.succTotal++
-	a.lastErr = nil
-	a.state = BreakerClosed
-	a.coolEpoch = 0
-}
-
 // SetTarget commands one agent (which must be in the collector's
 // address set) to the given power budget over the persistent
 // connection, with the collector's retry policy. An open breaker fails
@@ -676,18 +594,22 @@ func (c *Collector) SetTarget(ctx context.Context, addr string, powerW float64) 
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.state == BreakerOpen {
+	if a.brk.State() == breaker.Open {
 		return fmt.Errorf("%w: %s", ErrCircuitOpen, addr)
 	}
 	attempts := c.retry.Attempts
-	if a.state == BreakerHalfOpen {
+	if a.brk.State() == breaker.HalfOpen {
 		attempts = 1
 	}
 	if _, err := c.exchangeLocked(ctx, a, request{Op: "set", TargetW: powerW}, attempts); err != nil {
-		c.recordFailureLocked(a, err)
+		a.brk.Fail()
+		a.failTotal++
+		a.lastErr = err
 		return fmt.Errorf("telemetry: set %s: %w", addr, err)
 	}
-	c.recordSuccessLocked(a)
+	a.brk.Succeed()
+	a.succTotal++
+	a.lastErr = nil
 	return nil
 }
 
