@@ -94,12 +94,12 @@ func BenchmarkAblationSolverGrid(b *testing.B) { benchExperiment(b, "abl-solver"
 func BenchmarkAblationPredictor(b *testing.B)  { benchExperiment(b, "abl-predictor") }
 func BenchmarkAblationNoise(b *testing.B)      { benchExperiment(b, "abl-noise") }
 
-// ---- Epoch hot path (ghperf counterpart) ----
+// ---- Epoch hot path ----
 
 // benchEpochs times one controller epoch per iteration on the adaptive
-// GreenHetero policy and reports throughput as an epochs/sec metric —
-// the same figure of merit `cmd/ghperf` writes into BENCH_PR6.json, so
-// `go test -bench=Epoch` and the committed trajectory stay comparable.
+// GreenHetero policy and reports throughput as an epochs/sec metric.
+// It is the quick local probe of the hot path (add -cpuprofile to see
+// where an epoch goes); perfbench/ is the benchmark of record.
 func benchEpochs(b *testing.B, combo ...string) {
 	b.Helper()
 	groups := make([]server.Group, 0, len(combo))
@@ -160,8 +160,8 @@ func benchEpochs(b *testing.B, combo ...string) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "epochs/sec")
 }
 
-// BenchmarkEpochComb1 steps the two-group Comb1 rack (the ghperf
-// quick-4d-comb1 scenario).
+// BenchmarkEpochComb1 steps the two-group Comb1 rack over a 4-day High
+// trace.
 func BenchmarkEpochComb1(b *testing.B) {
 	benchEpochs(b, server.XeonE52620, server.CoreI54460)
 }

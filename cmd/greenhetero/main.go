@@ -83,6 +83,9 @@ func run(args []string) error {
 	if *epochs < 1 || *every < 1 {
 		return errors.New("epochs and every must be positive")
 	}
+	if *fleetN < 0 {
+		return fmt.Errorf("fleet %d: rack count must not be negative", *fleetN)
+	}
 
 	if *validatePath != "" {
 		return validateScenario(*validatePath)

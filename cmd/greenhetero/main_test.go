@@ -53,6 +53,10 @@ func TestRunErrors(t *testing.T) {
 		{"bad trace", []string{"-trace", "wind"}},
 		{"bad epochs", []string{"-epochs", "0"}},
 		{"bad flag", []string{"-nope"}},
+		{"NaN grid", []string{"-grid", "NaN"}},
+		{"Inf panel", []string{"-panel", "Inf"}},
+		{"negative fleet", []string{"-fleet", "-2"}},
+		{"NaN site grid", []string{"-fleet", "2", "-site-grid", "NaN"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -357,7 +357,7 @@ func (cfg Config) validate() (Config, error) {
 	if cfg.Epochs < 1 {
 		return cfg, fmt.Errorf("%w: epochs %d", ErrBadConfig, cfg.Epochs)
 	}
-	if cfg.SiteGridBudgetW < 0 {
+	if cfg.SiteGridBudgetW < 0 || math.IsNaN(cfg.SiteGridBudgetW) {
 		return cfg, fmt.Errorf("%w: site grid budget %v", ErrBadConfig, cfg.SiteGridBudgetW)
 	}
 	if cfg.InitialSoC < 0 || cfg.InitialSoC > 1 {

@@ -86,6 +86,7 @@ func TestRunValidation(t *testing.T) {
 		{"nil policy", func(c *Config) { c.Racks[0].Policy = nil }},
 		{"no workload", func(c *Config) { c.Racks[0].Workload = workload.Workload{} }},
 		{"negative site grid", func(c *Config) { c.SiteGridBudgetW = -1 }},
+		{"NaN site grid", func(c *Config) { c.SiteGridBudgetW = math.NaN() }},
 		{"bad initial SoC", func(c *Config) { c.InitialSoC = 1.5 }},
 		{"group workload count", func(c *Config) {
 			c.Racks[0].GroupWorkloads = []workload.Workload{c.Racks[0].Workload}

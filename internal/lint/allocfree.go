@@ -11,13 +11,13 @@ import (
 
 // AllocfreeAnalyzer verifies `// ghlint:allocfree` annotations: an
 // annotated function must contain no allocation site and must call only
-// callees that are themselves under the contract. PR 6 proved the epoch
-// hot path (refit → solve → enforce → step) runs at ~6 allocs/epoch,
-// but that proof is dynamic — AllocsPerRun pins and the ghperf CI gate
-// notice a regression only after it ships. This analyzer turns the
-// invariant static: a refactor that reintroduces boxing, slice growth,
-// or a closure anywhere in the annotated call tree is a lint finding at
-// the exact line, not a bench delta three layers up.
+// callees that are themselves under the contract. The epoch hot path
+// (refit → solve → enforce → step) runs at a few allocs/epoch, but a
+// dynamic check — AllocsPerRun pins, the allocs/op of the EpochComb
+// benchmarks — notices a regression only after it ships. This analyzer
+// turns the invariant static: a refactor that reintroduces boxing,
+// slice growth, or a closure anywhere in the annotated call tree is a
+// lint finding at the exact line, not a bench delta three layers up.
 //
 // Allocation sites flagged inside an annotated function:
 //

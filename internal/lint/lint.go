@@ -89,9 +89,9 @@ type Diagnostic struct {
 	// Message describes the violation and, where possible, the fix.
 	Message string
 	// Suppressed marks a finding silenced by a reasoned directive.
-	// RunPackage drops suppressed findings; RunPackageAll keeps them
-	// flagged, so the -json driver output can make suppression churn
-	// reviewable.
+	// RunPackage drops suppressed findings; RunProgramPackageAll keeps
+	// them flagged, so the -json driver output can make suppression
+	// churn reviewable.
 	Suppressed bool
 }
 
@@ -205,15 +205,11 @@ func RunProgramPackage(prog *Program, pkg *Package, analyzers []*Analyzer) []Dia
 	return out
 }
 
-// RunPackageAll is RunPackage without the suppression filter: silenced
-// findings are returned with Suppressed set instead of dropped, so a
-// reviewer (or the -json CI artifact) can see what the directives are
-// holding back. Ordering and determinism match RunPackage.
-func RunPackageAll(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return RunProgramPackageAll(BuildProgram([]*Package{pkg}), pkg, analyzers)
-}
-
-// RunProgramPackageAll is RunPackageAll against a prebuilt program.
+// RunProgramPackageAll is RunProgramPackage without the suppression
+// filter: silenced findings are returned with Suppressed set instead of
+// dropped, so a reviewer (or the -json CI artifact) can see what the
+// directives are holding back. Ordering and determinism match
+// RunProgramPackage.
 func RunProgramPackageAll(prog *Program, pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	sups, supDiags := collectDirectives(pkg.Fset, pkg.Files)
 

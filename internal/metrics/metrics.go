@@ -160,15 +160,3 @@ func SpeedupOver(a, b []float64) ([]float64, error) {
 func SLOViolated(suppliedW, demandW, minFrac float64) bool {
 	return demandW > 0 && suppliedW < minFrac*demandW
 }
-
-// Availability is the served fraction of eligible rack·epochs — the
-// fleet uptime number a stress report leads with. Zero eligible epochs
-// count as fully available.
-//
-// ghlint:units result=frac
-func Availability(served, eligible int) float64 {
-	if eligible <= 0 {
-		return 1
-	}
-	return float64(served) / float64(eligible)
-}

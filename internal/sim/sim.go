@@ -148,7 +148,7 @@ func (c *Config) withDefaults() (Config, error) {
 		return out, fmt.Errorf("%w: epochs %d", ErrBadConfig, out.Epochs)
 	case out.StartEpoch < 0:
 		return out, fmt.Errorf("%w: start epoch %d", ErrBadConfig, out.StartEpoch)
-	case out.GridBudgetW < 0:
+	case out.GridBudgetW < 0 || math.IsNaN(out.GridBudgetW):
 		return out, fmt.Errorf("%w: grid budget %v", ErrBadConfig, out.GridBudgetW)
 	}
 	if out.GroupWorkloads == nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -87,6 +88,7 @@ func TestRunValidation(t *testing.T) {
 		{"zero epochs", func(c *Config) { c.Epochs = 0 }},
 		{"negative start", func(c *Config) { c.StartEpoch = -1 }},
 		{"negative grid", func(c *Config) { c.GridBudgetW = -1 }},
+		{"NaN grid", func(c *Config) { c.GridBudgetW = math.NaN() }},
 		{"empty workload", func(c *Config) { c.Workload = workload.Workload{} }},
 		{"bad soc", func(c *Config) { c.InitialSoC = 2 }},
 	}

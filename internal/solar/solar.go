@@ -118,7 +118,7 @@ func paramsFor(p Profile) (profileParams, error) {
 
 // Generate produces a PV power trace in watts.
 func Generate(cfg Config) (*trace.Trace, error) {
-	if cfg.PeakWatts <= 0 {
+	if cfg.PeakWatts <= 0 || math.IsNaN(cfg.PeakWatts) || math.IsInf(cfg.PeakWatts, 0) {
 		return nil, fmt.Errorf("%w: peakWatts %v", ErrBadConfig, cfg.PeakWatts)
 	}
 	if cfg.Days < 1 {

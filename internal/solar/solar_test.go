@@ -14,6 +14,8 @@ func TestGenerateValidation(t *testing.T) {
 		cfg  Config
 	}{
 		{"zero peak", Config{Profile: High, Days: 1, Step: time.Minute}},
+		{"NaN peak", Config{Profile: High, PeakWatts: math.NaN(), Days: 1, Step: time.Minute}},
+		{"+Inf peak", Config{Profile: High, PeakWatts: math.Inf(1), Days: 1, Step: time.Minute}},
 		{"zero days", Config{Profile: High, PeakWatts: 100, Step: time.Minute}},
 		{"zero step", Config{Profile: High, PeakWatts: 100, Days: 1}},
 		{"bad profile", Config{PeakWatts: 100, Days: 1, Step: time.Minute}},

@@ -93,9 +93,6 @@ type Workload struct {
 	noise float64
 }
 
-// Util reports the dynamic-range utilization parameter.
-func (w Workload) Util() float64 { return w.util }
-
 // Gamma reports the response concavity parameter.
 func (w Workload) Gamma() float64 { return w.gamma }
 
