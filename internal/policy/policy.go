@@ -278,47 +278,38 @@ func (s Solver) Name() string {
 // UpdatesDB implements Policy.
 func (s Solver) UpdatesDB() bool { return s.Adaptive }
 
-// Allocate runs the PAR optimizer over the database projections. With a
-// Context Scratch it reuses the model slice and the warm solver (memoized
-// and table-accelerated, bit-identical to the cold solve); without one it
-// builds fresh models and runs the reference solver.
+// Allocate runs the PAR optimizer over the database projections through
+// the Context Scratch's warm solver (memoized and table-accelerated,
+// bit-identical to the reference solver.Optimize), reusing its model
+// slice. Without a Scratch it solves through a fresh one, so every call
+// takes the same solve path.
 //
 // The annotation covers the Scratch path — the per-epoch hot path. The
-// scratchless branches hang off `sc == nil` guards, which the analyzer
-// treats as cold lazy-init paths, matching reality: a caller without a
+// fresh Scratch hangs off an `== nil` guard, which the analyzer treats
+// as a cold lazy-init path, matching reality: a caller without a
 // Scratch has opted out of the zero-alloc contract.
 //
 // ghlint:allocfree
 func (s Solver) Allocate(ctx Context) ([]float64, error) {
+	if ctx.Scratch == nil {
+		ctx.Scratch = NewScratch()
+	}
 	entries, err := dbEntries(ctx)
 	if err != nil {
 		return nil, err
 	}
 	sc := ctx.Scratch
-	var models []solver.GroupModel
-	if sc == nil {
-		models = make([]solver.GroupModel, len(ctx.Groups))
-	} else {
-		models = sc.models
-	}
+	models := sc.models
 	for i, g := range ctx.Groups {
 		e := &entries[i]
 		models[i].Count = g.Count
 		models[i].IdleW = e.IdleW
 		models[i].PeakEffW = e.PeakEffW
-		if sc == nil {
-			models[i].Perf = e.Predict
-		}
 		// The projection's Perf is fully determined by these fields —
 		// declare that so the warm solver may memoize.
 		models[i].Coeffs = e.Curve.Coeffs
 	}
-	var res solver.Result
-	if sc == nil {
-		res, err = solver.Optimize(models, ctx.SupplyW, s.Options)
-	} else {
-		res, err = sc.warm.Optimize(models, ctx.SupplyW, s.Options)
-	}
+	res, err := sc.warm.Optimize(models, ctx.SupplyW, s.Options)
 	if err != nil {
 		return nil, fmt.Errorf("policy %s: %w", s.Name(), err)
 	}

@@ -9,6 +9,7 @@ import (
 	"greenhetero/internal/fit"
 	"greenhetero/internal/profiledb"
 	"greenhetero/internal/server"
+	"greenhetero/internal/solver"
 	"greenhetero/internal/workload"
 )
 
@@ -191,6 +192,56 @@ func TestSolverPolicyBeatsUniform(t *testing.T) {
 	uni := truePerf(groups, w, supply, []float64{0.5, 0.5})
 	if got < uni {
 		t.Errorf("solver policy %v worse than uniform %v on the truth", got, uni)
+	}
+}
+
+// TestSolverPolicyOneSolvePath pins Solver.Allocate to the reference
+// solver on a three-group rack, bit for bit, whether the Context
+// carries no Scratch (a fresh one per call), a Scratch on a memo miss,
+// or the same Scratch on a memo hit.
+func TestSolverPolicyOneSolvePath(t *testing.T) {
+	var groups []server.Group
+	for _, id := range []string{server.XeonE52620, server.XeonE52603, server.CoreI54460} {
+		spec, err := server.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups = append(groups, server.Group{Spec: spec, Count: 5})
+	}
+	w := mustWorkload(t, workload.SPECjbb)
+	db := trainDB(t, groups, w)
+	const supply = 900.0
+
+	models := make([]solver.GroupModel, len(groups))
+	for i, g := range groups {
+		e, err := db.Projection(profiledb.Key{ServerID: g.Spec.ID, WorkloadID: w.ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[i] = solver.GroupModel{Count: g.Count, IdleW: e.IdleW, PeakEffW: e.PeakEffW, Perf: e.Predict}
+	}
+	want, err := solver.Optimize(models, supply, solver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sc := NewScratch()
+	for _, tc := range []struct {
+		name    string
+		scratch *Scratch
+	}{{"no scratch", nil}, {"scratch miss", sc}, {"scratch hit", sc}} {
+		got, err := Solver{Adaptive: true}.Allocate(Context{Groups: groups, Workload: w, SupplyW: supply, DB: db, Scratch: tc.scratch})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(got) != len(want.Fractions) {
+			t.Fatalf("%s: %d fractions, reference %d", tc.name, len(got), len(want.Fractions))
+		}
+		for i := range want.Fractions {
+			if math.Float64bits(got[i]) != math.Float64bits(want.Fractions[i]) {
+				t.Fatalf("%s: fractions %v, reference %v", tc.name, got, want.Fractions)
+			}
+		}
 	}
 }
 

@@ -8,7 +8,9 @@ import (
 
 // FuzzWarmOptimize is the differential proof behind Warm: a seed draws
 // zero to four clamped-quadratic group models (an occasional malformed
-// one, an occasional opaque one without Coeffs), and the remaining
+// one; an occasional opaque one without Coeffs, either plain, quantized
+// into plateaus where totals tie, or returning NaN or ±Inf on a band of
+// powers where the 3-group scan must not prune), and the remaining
 // inputs pick the supply, grid step and refinement depth. Warm.Optimize
 // must match the reference Optimize bit for bit — fractions, predicted
 // perf, Evaluations and error outcome — on a fresh Warm, on a repeat of
@@ -34,6 +36,9 @@ func FuzzWarmOptimize(f *testing.F) {
 	f.Add(int64(11), uint8(3), 700.0, 0.75, int8(0))
 	f.Add(int64(12), uint8(3), 700.0, math.NaN(), int8(0))
 	f.Add(int64(13), uint8(3), math.Inf(1), 0.05, int8(1))
+	f.Add(int64(14), uint8(3), 700.0, 0.01, int8(0))  // group 1 on plateaus
+	f.Add(int64(31), uint8(3), 700.0, 0.01, int8(0))  // group 1 NaN on a band
+	f.Add(int64(115), uint8(3), 700.0, 0.01, int8(0)) // group 2 +Inf from 0 W
 
 	f.Fuzz(func(t *testing.T, seed int64, groups uint8, supply, step float64, passes int8) {
 		if step > 0 && step < 0.005 {
@@ -55,6 +60,16 @@ func FuzzWarmOptimize(f *testing.F) {
 				models[g].Coeffs = nil
 			case 1:
 				models[g].PeakEffW = idle
+			case 2:
+				models[g] = plateauModel(models[g], 5+80*rng.Float64())
+			case 3:
+				lo := 0.0
+				if rng.Intn(2) == 0 {
+					lo = (peak + 20) * rng.Float64()
+				}
+				hi := lo + 5 + 60*rng.Float64()
+				v := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+				models[g] = bandModel(models[g], lo, hi, v)
 			}
 		}
 		o := Options{GridStep: step, RefinePasses: int(passes)}

@@ -28,17 +28,22 @@ import (
 //     points (420 bit patterns for the 5 151 points of the 1 % grid).
 //     The Warm indexes every point to its distinct residual once per
 //     step and evaluates the group once per distinct residual per solve.
+//   - A pruned 3-group scan: each row visits only the window of points
+//     whose upper bound (prefix and suffix maxima of the tables) still
+//     strictly beats the best total so far; see gridSearchFast.
 //
 // Every table entry is the reference objective's own expression on the
 // reference's own argument, and the scan adds the entries in the
 // reference's order, so every candidate's total is bit-identical. The
 // grid's tie-breaking is load-bearing: the scan takes the first strict
-// improvement in row-major order, so the warm path must visit points in
-// exactly the reference order — it accelerates evaluation, never
-// reordering or pruning the scan. All search scratch (tables, residual
-// index, fraction buffers, the refine vector) is preallocated and
-// reused, so a steady-state call performs a single small allocation:
-// the returned Result's caller-owned Fractions slice.
+// improvement in row-major order, so the warm path visits the points it
+// does not prune in exactly the reference order, and prunes only points
+// whose total provably cannot exceed the best already found — points
+// the reference visits but never picks. Evaluations still counts every
+// grid point. All search scratch (tables, residual index, bounds,
+// fraction buffers, the refine vector) is preallocated and reused, so a
+// steady-state call performs a single small allocation: the returned
+// Result's caller-owned Fractions slice.
 //
 // A Warm is not safe for concurrent use; give each goroutine its own.
 // The zero value is ready.
@@ -56,10 +61,16 @@ type Warm struct {
 	// objective contributions for the current solve. resStep is the
 	// grid step the index was built for (0, never a valid step, until
 	// the first build).
-	resStep  float64
-	resIdx   []int32
-	resBits  []uint64
-	resVal   []float64
+	resStep float64
+	resIdx  []int32
+	resBits []uint64
+	resVal  []float64
+	// Bounds of the 3-group scan: pre1 and suf1 are the prefix and
+	// suffix maxima of group 1's table, pre2 the prefix maximum of
+	// resVal by residual rank.
+	pre1     []float64
+	suf1     []float64
+	pre2     []float64
 	fracs    []float64
 	bestBuf  []float64
 	refineFr []float64
@@ -167,6 +178,12 @@ func groupValue(m *GroupModel, f, supplyW float64) float64 {
 // bit-identical and the first-strict-improvement tie-breaking picks the
 // same point.
 //
+// With three groups each row scans only the positions [lo, hi) that
+// window returns: every point outside them has a total ≤ best.perf, so
+// it could at most tie, and first-strict-improvement never picks it.
+// The skipped points still count toward Evaluations, which therefore
+// matches the reference's count.
+//
 // ghlint:allocfree
 func (w *Warm) gridSearchFast(s *search, step float64) candidate {
 	n := len(s.models)
@@ -220,14 +237,20 @@ func (w *Warm) gridSearchFast(s *search, step float64) candidate {
 		for d, b := range w.resBits {
 			v2[d] = groupValue(m2, math.Float64frombits(b), s.supplyW)
 		}
+		prune := w.fillBounds(t0, t1, v2)
 		idx := w.resIdx
 		for i := 0; i <= steps; i++ {
 			base := 0.0 + t0[i]
 			row := idx[:steps-i+1]
 			idx = idx[len(row):]
+			s.evals += len(row)
+			lo, hi := 0, len(row)
+			if prune {
+				lo, hi = w.window(base, row, best.perf)
+			}
 			t1 := t1[:len(row)] // proves t1[j] in bounds
-			for j, d := range row {
-				if total := base + t1[j] + v2[d]; total > best.perf {
+			for j := lo; j < hi; j++ {
+				if total := base + t1[j] + v2[row[j]]; total > best.perf {
 					best.perf = total
 					f0, f1 := float64(i)*step, float64(j)*step
 					best.fracs[0] = f0
@@ -235,10 +258,117 @@ func (w *Warm) gridSearchFast(s *search, step float64) candidate {
 					best.fracs[2] = residual(f0, f1)
 				}
 			}
-			s.evals += len(row)
 		}
 	}
 	return best
+}
+
+// fillBounds computes the 3-group scan's bounds into w.pre1, w.suf1 and
+// w.pre2, and reports whether every entry of t0, t1 and v2 is finite.
+// Only then may the scan prune: a NaN entry poisons a running maximum
+// that starts on it, and +Inf + −Inf makes a bound NaN, which compares
+// false against everything.
+//
+// ghlint:allocfree
+func (w *Warm) fillBounds(t0, t1, v2 []float64) bool {
+	if cap(w.pre1) < len(t1) {
+		w.pre1 = make([]float64, len(t1))
+		w.suf1 = make([]float64, len(t1))
+	}
+	if cap(w.pre2) < len(v2) {
+		w.pre2 = make([]float64, len(v2))
+	}
+	w.pre1, w.suf1, w.pre2 = w.pre1[:len(t1)], w.suf1[:len(t1)], w.pre2[:len(v2)]
+	for _, v := range t0 {
+		if !finite(v) {
+			return false
+		}
+	}
+	if !prefixMax(w.pre1, t1) || !prefixMax(w.pre2, v2) {
+		return false
+	}
+	m := t1[len(t1)-1]
+	for j := len(t1) - 1; j >= 0; j-- {
+		if t1[j] > m {
+			m = t1[j]
+		}
+		w.suf1[j] = m
+	}
+	return true
+}
+
+// prefixMax sets dst[k] to the maximum of src[0..k] and reports
+// whether every entry of src is finite, stopping at the first that is
+// not.
+//
+// ghlint:allocfree
+func prefixMax(dst, src []float64) bool {
+	m := src[0]
+	for k, v := range src {
+		if !finite(v) {
+			return false
+		}
+		if v > m {
+			m = v
+		}
+		dst[k] = m
+	}
+	return true
+}
+
+// finite reports whether v is neither NaN nor ±Inf; both comparisons
+// are false for NaN.
+//
+// ghlint:allocfree
+func finite(v float64) bool { return v >= -math.MaxFloat64 && v <= math.MaxFloat64 }
+
+// window returns the positions [lo, hi) of a 3-group row, with group 0's
+// contribution base and residual ranks row, whose totals can still
+// strictly exceed best; every other position's total is ≤ best.
+//
+// A row's residuals (1−f₀)−f₁ never rise as j rises, and they are all
+// ≥ +0, so their bit order is their numeric order: the ranks row[j]
+// never rise either, and pre2[row[j]] bounds group 2 at every position
+// from j on. IEEE addition is monotone, so
+//
+//   - positions up to j total at most (base+pre1[j]) + pre2[row[0]],
+//     a head bound that rises with j;
+//   - positions from j on total at most (base+suf1[j]) + pre2[row[j]],
+//     a tail bound that falls with j.
+//
+// Each bound is monotone in j, so binary search finds lo, the first
+// position whose head bound exceeds best, and hi, the first position
+// from lo whose tail bound does not. fillBounds must have reported
+// every table finite, so no bound is NaN.
+//
+// ghlint:allocfree
+func (w *Warm) window(base float64, row []int32, best float64) (lo, hi int) {
+	pre1, suf1, pre2 := w.pre1, w.suf1, w.pre2
+	n := len(row)
+	top2 := pre2[row[0]]
+	if (base+pre1[n-1])+top2 <= best {
+		return n, n // the head bound covers the whole row
+	}
+	lo, hi = 0, n-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if (base+pre1[mid])+top2 > best {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	l := lo
+	hi = n
+	for l < hi {
+		mid := int(uint(l+hi) >> 1)
+		if (base+suf1[mid])+pre2[row[mid]] > best {
+			l = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, hi
 }
 
 // residual is the last of three groups' fraction at grid point (f0, f1)

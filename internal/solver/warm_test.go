@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,6 +56,30 @@ func curveModel(count int, idleW, peakEffW float64, coeffs []float64) GroupModel
 		return v
 	}
 	return GroupModel{Count: count, IdleW: idleW, PeakEffW: peakEffW, Perf: perf, Coeffs: coeffs}
+}
+
+// plateauModel quantizes m's Perf down to multiples of q, so that many
+// grid points share a total and only first-strict-improvement decides
+// between them. The result is opaque: Coeffs no longer determine Perf.
+func plateauModel(m GroupModel, q float64) GroupModel {
+	inner := m.Perf
+	m.Perf = func(p float64) float64 { return math.Floor(inner(p)/q) * q }
+	m.Coeffs = nil
+	return m
+}
+
+// bandModel makes m's Perf return v on per-server powers in [lo, hi)
+// and leaves it unchanged elsewhere. The result is opaque.
+func bandModel(m GroupModel, lo, hi, v float64) GroupModel {
+	inner := m.Perf
+	m.Perf = func(p float64) float64 {
+		if p >= lo && p < hi {
+			return v
+		}
+		return inner(p)
+	}
+	m.Coeffs = nil
+	return m
 }
 
 // TestWarmMatchesOptimizeFixtures replays the package's standing
@@ -167,6 +192,77 @@ func TestWarmMatchesOptimizeRandom(t *testing.T) {
 	}
 }
 
+// TestWarmPruneExactness aims the pruned 3-group scan at inputs where a
+// wrong bound would change the pick: ties everywhere, a group-1 table
+// that rises and then falls, totals that never beat the initial −1,
+// and tables holding NaN or infinities, where the scan must not prune.
+// Each must match the reference bit for bit.
+func TestWarmPruneExactness(t *testing.T) {
+	comb := func() []GroupModel {
+		return []GroupModel{
+			curveModel(2, 35, 95, []float64{-40, 5.5, -0.012}),
+			curveModel(3, 25, 70, []float64{-10, 3.2, -0.008}),
+			curveModel(1, 45, 130, []float64{-80, 6.1, -0.015}),
+		}
+	}
+	negative := GroupModel{Count: 2, IdleW: 20, PeakEffW: 90,
+		Perf: func(p float64) float64 { return -2 - p/100 }}
+	fixtures := []struct {
+		name   string
+		models []GroupModel
+		supply float64
+	}{
+		{"quantized-plateau", []GroupModel{
+			plateauModel(comb()[0], 40),
+			plateauModel(comb()[1], 25),
+			plateauModel(comb()[2], 60),
+		}, 700},
+		// Group 1's curve peaks at 45 W, inside [30, 120], and is back
+		// to zero by 60 W: its table is a narrow hump, so the value at
+		// a window boundary says nothing about the points before it.
+		{"interior-vertex", []GroupModel{
+			curveModel(2, 35, 95, []float64{-40, 5.5, -0.012}),
+			curveModel(1, 30, 120, []float64{-1800, 90, -1}),
+			curveModel(2, 45, 130, []float64{-80, 6.1, -0.015}),
+		}, 600},
+		{"negative-everywhere", []GroupModel{negative, negative, negative}, 500},
+		// The band covers group 2's zero residual, the first entry of
+		// its running maximum.
+		{"nan-band", []GroupModel{
+			comb()[0],
+			bandModel(comb()[1], 40, 48, math.NaN()),
+			bandModel(comb()[2], 0, 30, math.NaN()),
+		}, 700},
+		// Row bases reach +Inf while group 2's low residuals are −Inf:
+		// those totals and their bounds are NaN.
+		{"opposite-infinities", []GroupModel{
+			bandModel(comb()[0], 80, math.Inf(1), math.Inf(1)),
+			comb()[1],
+			bandModel(comb()[2], 0, 60, math.Inf(-1)),
+		}, 700},
+	}
+	optSet := []Options{
+		{},
+		{RefinePasses: -1},
+		{GridStep: 0.05, RefinePasses: -1},
+		{GridStep: 0.07},
+	}
+	for _, fx := range fixtures {
+		for _, o := range optSet {
+			want, err := Optimize(fx.models, fx.supply, o)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", fx.name, err)
+			}
+			var w Warm
+			got, err := w.Optimize(fx.models, fx.supply, o)
+			if err != nil {
+				t.Fatalf("%s: warm: %v", fx.name, err)
+			}
+			resultsBitEqual(t, fmt.Sprintf("%s %+v", fx.name, o), got, want)
+		}
+	}
+}
+
 // comb5Models is the paper's Comb5 rack (Table IV): e5-2620, e5-2603
 // and i5-4460, five servers each, on SPECjbb.
 func comb5Models(t testing.TB) []GroupModel {
@@ -261,6 +357,28 @@ func TestWarmOptimizeAllocs(t *testing.T) {
 // solve misses the memo and runs the full 1 % scan and refinement.
 func BenchmarkWarmThreeGroups(b *testing.B) {
 	models := comb5Models(b)
+	var w Warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		supply := 300 + 5*float64(i%256) // 300–1575 W
+		if _, err := w.Optimize(models, supply, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarmThreeCurves times the warm path on three clamped
+// quadratics, the shape of the profiledb projections production solves
+// use, over the same supply sweep as BenchmarkWarmThreeGroups. Cheap
+// Perf calls leave the scan, not the table fills, as the bulk of a
+// solve.
+func BenchmarkWarmThreeCurves(b *testing.B) {
+	models := []GroupModel{
+		curveModel(5, 35, 95, []float64{-40, 5.5, -0.012}),
+		curveModel(5, 25, 70, []float64{-10, 3.2, -0.008}),
+		curveModel(5, 45, 130, []float64{-80, 6.1, -0.015}),
+	}
 	var w Warm
 	b.ReportAllocs()
 	b.ResetTimer()
