@@ -27,8 +27,9 @@ import (
 
 // crashEpochs is the scripted run length. Small enough that every
 // crashpoint is exercised in a few seconds, large enough to cross
-// several snapshot boundaries (SnapshotEvery=2) and segment rotations.
-// At one fsynced append per epoch, 9 epochs make 67 storage ops.
+// several snapshot boundaries (SnapshotEvery=2), each of which closes
+// one log segment and starts the next. At one fsynced append per epoch,
+// 9 epochs make 67 storage ops.
 const crashEpochs = 9
 
 // finalState captures everything ISSUE's equivalence claim covers: the

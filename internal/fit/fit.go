@@ -53,17 +53,6 @@ func (p Poly) Eval(x float64) float64 {
 	return y
 }
 
-// Derivative evaluates dy/dx at x.
-//
-// ghlint:allocfree
-func (p Poly) Derivative(x float64) float64 {
-	var y float64
-	for i := len(p.Coeffs) - 1; i >= 1; i-- {
-		y = y*x + p.Coeffs[i]*float64(i)
-	}
-	return y
-}
-
 // Degree reports the polynomial degree (len(coeffs)-1), or -1 when empty.
 func (p Poly) Degree() int { return len(p.Coeffs) - 1 }
 

@@ -91,18 +91,6 @@ func TestPolynomialDegreeErrors(t *testing.T) {
 	}
 }
 
-func TestDerivative(t *testing.T) {
-	p := Poly{Coeffs: []float64{1, -0.5, 0.25}} // y' = -0.5 + 0.5x
-	tests := []struct {
-		x, want float64
-	}{{0, -0.5}, {1, 0}, {4, 1.5}}
-	for _, tt := range tests {
-		if got := p.Derivative(tt.x); !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Derivative(%v) = %v, want %v", tt.x, got, tt.want)
-		}
-	}
-}
-
 func TestDegreeAndString(t *testing.T) {
 	if d := (Poly{}).Degree(); d != -1 {
 		t.Errorf("empty Degree() = %d, want -1", d)

@@ -11,7 +11,6 @@ package metrics
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -56,19 +55,6 @@ func EpochEPU(allocs []Allocation, supplyW float64) float64 {
 	return EPU(used, supplyW)
 }
 
-// Normalize divides each value by base, the paper's presentation for
-// Figs. 3/9/10/13/14 (results normalized to the Uniform policy).
-func Normalize(values []float64, base float64) ([]float64, error) {
-	if base == 0 {
-		return nil, fmt.Errorf("metrics: normalize by zero base")
-	}
-	out := make([]float64, len(values))
-	for i, v := range values {
-		out[i] = v / base
-	}
-	return out, nil
-}
-
 // Mean returns the arithmetic mean.
 func Mean(values []float64) (float64, error) {
 	if len(values) == 0 {
@@ -79,22 +65,6 @@ func Mean(values []float64) (float64, error) {
 		sum += v
 	}
 	return sum / float64(len(values)), nil
-}
-
-// GeoMean returns the geometric mean; all inputs must be positive.
-// Speedup ratios are conventionally aggregated geometrically.
-func GeoMean(values []float64) (float64, error) {
-	if len(values) == 0 {
-		return 0, ErrNoData
-	}
-	var logSum float64
-	for _, v := range values {
-		if v <= 0 {
-			return 0, fmt.Errorf("metrics: geomean of non-positive value %v", v)
-		}
-		logSum += math.Log(v)
-	}
-	return math.Exp(logSum / float64(len(values))), nil
 }
 
 // Summary aggregates a series.
@@ -127,27 +97,6 @@ func Summarize(values []float64) (Summary, error) {
 	}
 	s.Std = math.Sqrt(varSum / float64(s.N))
 	return s, nil
-}
-
-// SpeedupOver returns element-wise a[i]/b[i]; the per-epoch "GreenHetero
-// over Uniform" series of Figs. 8(a)/11(a). Pairs where b[i] == 0 yield
-// 1 when a[i] is also 0 (both idle) and +Inf otherwise.
-func SpeedupOver(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("metrics: speedup length mismatch %d vs %d", len(a), len(b))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		switch {
-		case b[i] != 0:
-			out[i] = a[i] / b[i]
-		case a[i] == 0:
-			out[i] = 1
-		default:
-			out[i] = math.Inf(1)
-		}
-	}
-	return out, nil
 }
 
 // SLOViolated reports whether a served epoch missed its supply SLO:

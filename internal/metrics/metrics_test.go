@@ -44,39 +44,13 @@ func TestEpochEPU(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	got, err := Normalize([]float64{2, 4, 6}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Normalize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if _, err := Normalize([]float64{1}, 0); err == nil {
-		t.Error("zero base should error")
-	}
-}
-
 func TestMeanGeoMean(t *testing.T) {
 	m, err := Mean([]float64{1, 2, 3})
 	if err != nil || m != 2 {
 		t.Errorf("Mean = %v, %v", m, err)
 	}
-	g, err := GeoMean([]float64{1, 4})
-	if err != nil || math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %v, %v", g, err)
-	}
 	if _, err := Mean(nil); !errors.Is(err, ErrNoData) {
 		t.Errorf("Mean(nil) err = %v", err)
-	}
-	if _, err := GeoMean(nil); !errors.Is(err, ErrNoData) {
-		t.Errorf("GeoMean(nil) err = %v", err)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("GeoMean with zero should error")
 	}
 }
 
@@ -96,19 +70,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSpeedupOver(t *testing.T) {
-	got, err := SpeedupOver([]float64{3, 0, 5}, []float64{2, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 1.5 || got[1] != 1 || !math.IsInf(got[2], 1) {
-		t.Errorf("SpeedupOver = %v", got)
-	}
-	if _, err := SpeedupOver([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
 // Property: EPU is always in [0, 1].
 func TestQuickEPUBounds(t *testing.T) {
 	f := func(used, supply int32) bool {
@@ -116,30 +77,6 @@ func TestQuickEPUBounds(t *testing.T) {
 		return e >= 0 && e <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: GeoMean of positive values lies within [min, max].
-func TestQuickGeoMeanBounds(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		vals := make([]float64, len(raw))
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, r := range raw {
-			vals[i] = float64(r) + 1
-			lo = math.Min(lo, vals[i])
-			hi = math.Max(hi, vals[i])
-		}
-		g, err := GeoMean(vals)
-		if err != nil {
-			return false
-		}
-		return g >= lo-1e-9 && g <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -46,7 +46,7 @@ type Context struct {
 	TryAllocation func(fractions []float64) (float64, error)
 	// Scratch, when non-nil, lets the database-driven policies reuse
 	// working memory (projection entries, solver models, the warm solver
-	// cache) across epochs instead of reallocating per decision. Results
+	// buffers) across epochs instead of reallocating per decision. Results
 	// are bit-identical with or without it. A Scratch must not be shared
 	// across concurrent allocations; the controller owns one per run.
 	Scratch *Scratch
@@ -54,9 +54,9 @@ type Context struct {
 
 // Scratch is reusable working memory for the per-epoch allocation hot
 // path. Its lifetime is one controller (one simulated run): the embedded
-// warm solver memoizes on the full model/supply/options input, so reuse
-// across epochs — or even across different racks — can never return a
-// stale result, only skip redundant searches.
+// warm solver holds only search buffers that each solve overwrites, so
+// reuse across epochs — or even across different racks — never changes
+// a result.
 type Scratch struct {
 	warm    solver.Warm
 	entries []profiledb.Entry
@@ -279,7 +279,7 @@ func (s Solver) Name() string {
 func (s Solver) UpdatesDB() bool { return s.Adaptive }
 
 // Allocate runs the PAR optimizer over the database projections through
-// the Context Scratch's warm solver (memoized and table-accelerated,
+// the Context Scratch's warm solver (table-accelerated and pruned,
 // bit-identical to the reference solver.Optimize), reusing its model
 // slice. Without a Scratch it solves through a fresh one, so every call
 // takes the same solve path.
@@ -305,9 +305,6 @@ func (s Solver) Allocate(ctx Context) ([]float64, error) {
 		models[i].Count = g.Count
 		models[i].IdleW = e.IdleW
 		models[i].PeakEffW = e.PeakEffW
-		// The projection's Perf is fully determined by these fields —
-		// declare that so the warm solver may memoize.
-		models[i].Coeffs = e.Curve.Coeffs
 	}
 	res, err := sc.warm.Optimize(models, ctx.SupplyW, s.Options)
 	if err != nil {

@@ -197,8 +197,8 @@ func TestSolverPolicyBeatsUniform(t *testing.T) {
 
 // TestSolverPolicyOneSolvePath pins Solver.Allocate to the reference
 // solver on a three-group rack, bit for bit, whether the Context
-// carries no Scratch (a fresh one per call), a Scratch on a memo miss,
-// or the same Scratch on a memo hit.
+// carries no Scratch (a fresh one per call), a fresh Scratch, or the
+// same Scratch reused for a second solve.
 func TestSolverPolicyOneSolvePath(t *testing.T) {
 	var groups []server.Group
 	for _, id := range []string{server.XeonE52620, server.XeonE52603, server.CoreI54460} {
@@ -229,7 +229,7 @@ func TestSolverPolicyOneSolvePath(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		scratch *Scratch
-	}{{"no scratch", nil}, {"scratch miss", sc}, {"scratch hit", sc}} {
+	}{{"no scratch", nil}, {"fresh scratch", sc}, {"reused scratch", sc}} {
 		got, err := Solver{Adaptive: true}.Allocate(Context{Groups: groups, Workload: w, SupplyW: supply, DB: db, Scratch: tc.scratch})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -89,7 +89,7 @@ func (j *Journal) Reopen() (JournalRecovery, error) {
 	if j.store != nil {
 		_ = j.store.Close()
 	}
-	store, rec, err := wal.Open(j.fs, wal.Options{Logf: j.logf})
+	store, rec, err := wal.Open(j.fs, j.logf)
 	if err != nil {
 		return JournalRecovery{}, fmt.Errorf("sim: journal: %w", err)
 	}

@@ -133,6 +133,48 @@ func TestJournalCadence(t *testing.T) {
 	}
 }
 
+// TestJournalOpsPerCommit pins the storage cost of a log commit: a
+// Write and a Sync, plus a Create and a SyncDir for the commit that
+// opens the segment after a snapshot. With a snapshot every 300
+// commits, all 249 log records land in one segment.
+func TestJournalOpsPerCommit(t *testing.T) {
+	const commits, every = 250, 300
+	s, err := NewSession(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := wal.NewCrashFS(1)
+	j, _, err := OpenJournal(fsys, every, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= commits; i++ {
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		before := fsys.Ops()
+		if err := j.Commit(s, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			continue // the journal's first commit is a snapshot
+		}
+		want := 2
+		if i == 2 {
+			want = 4
+		}
+		if got := fsys.Ops() - before; got != want {
+			t.Fatalf("log commit %d (record %d after the snapshot) cost %d storage ops, want %d", i, i-1, got, want)
+		}
+	}
+	if got := j.Segments(); got != 1 {
+		t.Errorf("%d log records span %d segments, want 1", commits-1, got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestJournalRejectsForeignEntries: a snapshot or record not written by
 // this protocol is refused before any state is decoded.
 func TestJournalRejectsForeignEntries(t *testing.T) {
@@ -148,7 +190,7 @@ func TestJournalRejectsForeignEntries(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fsys := wal.NewCrashFS(1)
-			st, _, err := wal.Open(fsys, wal.Options{})
+			st, _, err := wal.Open(fsys, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

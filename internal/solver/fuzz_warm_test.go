@@ -8,15 +8,14 @@ import (
 
 // FuzzWarmOptimize is the differential proof behind Warm: a seed draws
 // zero to four clamped-quadratic group models (an occasional malformed
-// one; an occasional opaque one without Coeffs, either plain, quantized
-// into plateaus where totals tie, or returning NaN or ±Inf on a band of
-// powers where the 3-group scan must not prune), and the remaining
-// inputs pick the supply, grid step and refinement depth. Warm.Optimize
-// must match the reference Optimize bit for bit — fractions, predicted
-// perf, Evaluations and error outcome — on a fresh Warm, on a repeat of
-// the same input (a memo hit when every model declares Coeffs), and on
-// a Warm last used with a different grid step (a residual-index
-// rebuild).
+// one; an occasional one quantized into plateaus where totals tie, or
+// returning NaN or ±Inf on a band of powers where the 3-group scan must
+// not prune), and the remaining inputs pick the supply, grid step and
+// refinement depth. Warm.Optimize must match the reference Optimize bit
+// for bit — fractions, predicted perf, Evaluations and error outcome —
+// on a fresh Warm, on a repeat of the same input through the same Warm
+// (reused scratch), and on a Warm last used with a different grid step
+// (a residual-index rebuild).
 //
 // Grid steps finer than the 0.005 ablation grid are raised to it: each
 // halving of the step quadruples a 3-group scan, so finer grids buy no
@@ -56,8 +55,6 @@ func FuzzWarmOptimize(f *testing.F) {
 			}
 			models[g] = curveModel(1+rng.Intn(10), idle, peak, coeffs)
 			switch rng.Intn(16) {
-			case 0:
-				models[g].Coeffs = nil
 			case 1:
 				models[g].PeakEffW = idle
 			case 2:

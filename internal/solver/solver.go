@@ -37,22 +37,16 @@ type GroupModel struct {
 	// Perf projects one server's throughput from its allocated power.
 	// It must honor the clamping semantics (0 below IdleW, constant
 	// above PeakEffW); profiledb.Entry.Predict does. It must also be a
-	// deterministic function of its argument, Coeffs or not: Warm
-	// tabulates groups 0..n-2 once per grid value and the last of three
-	// groups once per distinct residual fraction, reusing one call's
-	// result for every simplex point with that argument. The allocfree
+	// deterministic function of its argument: Warm tabulates groups
+	// 0..n-2 once per grid value and the last of three groups once per
+	// distinct residual fraction, reusing one call's result for every
+	// simplex point with that argument. The allocfree
 	// annotation makes the field a verified contract: the solver's hot
 	// loops call Perf millions of times per epoch, so every binding is
 	// statically checked to be allocation-free.
 	//
 	// ghlint:allocfree
 	Perf func(perServerW float64) float64
-	// Coeffs, when non-nil, declares that Perf is a pure function fully
-	// determined by (IdleW, PeakEffW, Coeffs) — true of a profiledb
-	// projection, whose curve these are the coefficients of. Warm uses
-	// the declaration to memoize solves; leave nil for opaque Perf
-	// functions and Warm searches afresh on every call.
-	Coeffs []float64
 }
 
 // Result is the optimized allocation.

@@ -1,27 +1,16 @@
 package solver
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // Warm is a reusable solver context for the per-epoch hot path. It is
 // bit-for-bit equivalent to Optimize — same Fractions, PredictedPerf,
 // Evaluations, and errors for every input — but amortizes work three
 // ways:
 //
-//   - Memoization: when every model declares Coeffs (its Perf a pure
-//     function of the model fields), the full input — supply, options,
-//     and each group's Count/IdleW/PeakEffW/Coeffs — is encoded into a
-//     key, and an unchanged input returns the previous Result without
-//     re-searching. The key captures everything the search reads, so a
-//     hit can never be semantically stale. Under a steady solar plateau
-//     and a converged profile database this skips the entire simplex
-//     scan.
-//   - Per-group grid tables: on a miss, groups 0..n-2 have their
-//     objective contributions precomputed once per grid value instead of
-//     once per simplex point (the 3-group scan visits each (i,·) row
-//     steps times).
+//   - Per-group grid tables: groups 0..n-2 have their objective
+//     contributions precomputed once per grid value instead of once per
+//     simplex point (the 3-group scan visits each (i,·) row steps
+//     times).
 //   - A residual table for the last of three groups: its fraction is the
 //     simplex remainder 1−f₀−f₁ (clamped at 0), which depends only on
 //     the grid step and takes far fewer distinct values than there are
@@ -48,11 +37,6 @@ import (
 // A Warm is not safe for concurrent use; give each goroutine its own.
 // The zero value is ready.
 type Warm struct {
-	key    []byte // key of the memoized solve
-	keyBuf []byte // scratch for building the candidate key
-	memoOK bool
-	memo   Result // Fractions owned by the cache; copied out on hit
-
 	tables   [][]float64
 	tableBuf []float64
 	// Residual table of the 3-group scan: resIdx maps each grid point
@@ -78,70 +62,14 @@ type Warm struct {
 }
 
 // Optimize is Optimize with warm-start: identical contract and results,
-// reusing this Warm's cache and scratch buffers.
+// reusing this Warm's scratch buffers.
 //
 // ghlint:allocfree
 func (w *Warm) Optimize(models []GroupModel, supplyW float64, opts Options) (Result, error) {
 	if err := validate(models, supplyW); err != nil {
 		return Result{}, err
 	}
-	o := opts.withDefaults()
-
-	if key, ok := w.encodeKey(models, supplyW, o); ok {
-		if w.memoOK && bytesEqual(key, w.key) {
-			return Result{
-				Fractions:     append([]float64(nil), w.memo.Fractions...), //lint:ghlint ignore allocfree the caller-owned Fractions copy is the one budgeted per-epoch allocation (Result contract)
-				PredictedPerf: w.memo.PredictedPerf,
-				Evaluations:   w.memo.Evaluations,
-			}, nil
-		}
-		w.key = append(w.key[:0], key...)
-		res := w.solve(models, supplyW, o)
-		w.memo = Result{
-			Fractions:     append(w.memo.Fractions[:0], res.Fractions...),
-			PredictedPerf: res.PredictedPerf,
-			Evaluations:   res.Evaluations,
-		}
-		w.memoOK = true
-		return res, nil
-	}
-	// Opaque Perf (no Coeffs declaration): memoization would be unsound,
-	// since the key cannot capture what Perf reads, but the tabulated
-	// search is still exact — it needs Perf deterministic, not declared.
-	w.memoOK = false
-	return w.solve(models, supplyW, o), nil
-}
-
-// Invalidate drops the memoized solve; the next call re-searches.
-func (w *Warm) Invalidate() { w.memoOK = false }
-
-// encodeKey serializes everything the search reads into w.keyBuf.
-// Reports false when any model omits Coeffs (Perf not declared pure).
-//
-// ghlint:allocfree
-func (w *Warm) encodeKey(models []GroupModel, supplyW float64, o Options) ([]byte, bool) {
-	for i := range models {
-		if models[i].Coeffs == nil {
-			return nil, false
-		}
-	}
-	key := w.keyBuf[:0]
-	key = binary.LittleEndian.AppendUint64(key, math.Float64bits(supplyW))
-	key = binary.LittleEndian.AppendUint64(key, math.Float64bits(o.GridStep))
-	key = binary.LittleEndian.AppendUint64(key, uint64(o.RefinePasses))
-	key = binary.LittleEndian.AppendUint64(key, uint64(len(models)))
-	for i := range models {
-		m := &models[i]
-		key = binary.LittleEndian.AppendUint64(key, uint64(m.Count))
-		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(m.IdleW))
-		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(m.PeakEffW))
-		key = binary.LittleEndian.AppendUint64(key, uint64(len(m.Coeffs)))
-		for _, c := range m.Coeffs {
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(c))
-		}
-	}
-	w.keyBuf = key
-	return key, true
+	return w.solve(models, supplyW, opts.withDefaults()), nil
 }
 
 // solve runs the accelerated search. Inputs are already validated and
@@ -543,17 +471,4 @@ func (w *Warm) trimInto(s *search, fracs []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// ghlint:allocfree
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -36,8 +36,7 @@ func resultsBitEqual(t *testing.T, label string, got, want Result) {
 }
 
 // curveModel builds a GroupModel whose Perf is the profiledb-style
-// clamped polynomial of coeffs — with the Coeffs declaration that
-// unlocks the warm path's memoization and grid tables.
+// clamped polynomial of coeffs.
 func curveModel(count int, idleW, peakEffW float64, coeffs []float64) GroupModel {
 	perf := func(p float64) float64 {
 		if p < idleW {
@@ -55,21 +54,20 @@ func curveModel(count int, idleW, peakEffW float64, coeffs []float64) GroupModel
 		}
 		return v
 	}
-	return GroupModel{Count: count, IdleW: idleW, PeakEffW: peakEffW, Perf: perf, Coeffs: coeffs}
+	return GroupModel{Count: count, IdleW: idleW, PeakEffW: peakEffW, Perf: perf}
 }
 
 // plateauModel quantizes m's Perf down to multiples of q, so that many
 // grid points share a total and only first-strict-improvement decides
-// between them. The result is opaque: Coeffs no longer determine Perf.
+// between them.
 func plateauModel(m GroupModel, q float64) GroupModel {
 	inner := m.Perf
 	m.Perf = func(p float64) float64 { return math.Floor(inner(p)/q) * q }
-	m.Coeffs = nil
 	return m
 }
 
 // bandModel makes m's Perf return v on per-server powers in [lo, hi)
-// and leaves it unchanged elsewhere. The result is opaque.
+// and leaves it unchanged elsewhere.
 func bandModel(m GroupModel, lo, hi, v float64) GroupModel {
 	inner := m.Perf
 	m.Perf = func(p float64) float64 {
@@ -78,7 +76,6 @@ func bandModel(m GroupModel, lo, hi, v float64) GroupModel {
 		}
 		return inner(p)
 	}
-	m.Coeffs = nil
 	return m
 }
 
@@ -147,7 +144,7 @@ func TestWarmMatchesOptimizeFixtures(t *testing.T) {
 
 // TestWarmMatchesOptimizeRandom drives 1000 seeded random model sets
 // (mixed group counts, curve shapes, supplies, grids, refinement
-// depths, and Coeffs declarations) through one shared Warm, asserting
+// depths) through one shared Warm, asserting
 // bit-identity with the cold solve on every draw — buffer reuse across
 // changing shapes must never leak state between solves.
 func TestWarmMatchesOptimizeRandom(t *testing.T) {
@@ -169,11 +166,6 @@ func TestWarmMatchesOptimizeRandom(t *testing.T) {
 				-0.02 * rng.Float64(),
 			}
 			models[g] = curveModel(1+rng.Intn(10), idle, peak, coeffs)
-			if rng.Intn(4) == 0 {
-				// Opaque model: same Perf, no purity declaration —
-				// forces the non-memoized path for this whole set.
-				models[g].Coeffs = nil
-			}
 		}
 		supply := 50 + 2500*rng.Float64()
 		o := Options{
@@ -328,8 +320,7 @@ func TestWarmResidualTablePerfCalls(t *testing.T) {
 }
 
 // TestWarmOptimizeAllocs pins the steady state of a 3-group warm solve
-// that misses the memo (the supply changes on every call): the only
-// allocation is the Result's caller-owned Fractions copy.
+// (the supply changes on every call): the only allocation is the Result's caller-owned Fractions copy.
 func TestWarmOptimizeAllocs(t *testing.T) {
 	models := []GroupModel{
 		curveModel(5, 35, 95, []float64{-40, 5.5, -0.012}),
@@ -353,8 +344,7 @@ func TestWarmOptimizeAllocs(t *testing.T) {
 }
 
 // BenchmarkWarmThreeGroups times the warm path on the Comb5 trio over
-// a supply sweep: consecutive iterations never share a supply, so every
-// solve misses the memo and runs the full 1 % scan and refinement.
+// a supply sweep: every solve runs the full 1 % scan and refinement.
 func BenchmarkWarmThreeGroups(b *testing.B) {
 	models := comb5Models(b)
 	var w Warm
@@ -390,94 +380,32 @@ func BenchmarkWarmThreeCurves(b *testing.B) {
 	}
 }
 
-// TestWarmMemoization checks the cache behavior directly: an unchanged
-// declared-pure input re-solves nothing (zero Perf calls) yet returns
-// the identical result with a caller-owned fraction slice, and any
-// field change — supply, options, a coefficient — forces a fresh solve.
-func TestWarmMemoization(t *testing.T) {
-	var calls int
-	coeffs := []float64{-40, 5.5, -0.012}
-	m := curveModel(2, 35, 95, coeffs)
-	inner := m.Perf
-	m.Perf = func(p float64) float64 { calls++; return inner(p) }
-	m2 := curveModel(3, 25, 70, []float64{-10, 3.2, -0.008})
-	models := []GroupModel{m, m2}
-
+// TestWarmFractionsCallerOwned checks that a returned Fractions slice
+// belongs to the caller: scribbling on it must not change the next
+// solve through the same Warm.
+func TestWarmFractionsCallerOwned(t *testing.T) {
+	models := []GroupModel{
+		curveModel(2, 35, 95, []float64{-40, 5.5, -0.012}),
+		curveModel(3, 25, 70, []float64{-10, 3.2, -0.008}),
+	}
 	var w Warm
 	first, err := w.Optimize(models, 400, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
-		t.Fatal("cold solve made no Perf calls")
+	want := Result{
+		Fractions:     append([]float64(nil), first.Fractions...),
+		PredictedPerf: first.PredictedPerf,
+		Evaluations:   first.Evaluations,
 	}
-
-	calls = 0
+	for i := range first.Fractions {
+		first.Fractions[i] = -1
+	}
 	second, err := w.Optimize(models, 400, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 0 {
-		t.Fatalf("memoized solve made %d Perf calls, want 0", calls)
-	}
-	resultsBitEqual(t, "memo hit", second, first)
-	// The returned fractions are caller-owned: scribbling on them must
-	// not corrupt the cache.
-	second.Fractions[0] = -1
-	third, err := w.Optimize(models, 400, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsBitEqual(t, "memo hit after caller mutation", third, first)
-
-	// Any input change misses: supply…
-	calls = 0
-	if _, err := w.Optimize(models, 401, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("changed supply still hit the memo")
-	}
-	// …options…
-	calls = 0
-	if _, err := w.Optimize(models, 401, Options{RefinePasses: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("changed options still hit the memo")
-	}
-	// …and a single coefficient bit (a profiledb refit).
-	calls = 0
-	coeffs[1] = math.Nextafter(coeffs[1], 2*coeffs[1])
-	if _, err := w.Optimize(models, 401, Options{RefinePasses: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("changed coefficient still hit the memo")
-	}
-
-	// Invalidate drops the cache explicitly.
-	calls = 0
-	w.Invalidate()
-	if _, err := w.Optimize(models, 401, Options{RefinePasses: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("Invalidate did not force a re-solve")
-	}
-
-	// Opaque models (no Coeffs) are never memoized.
-	models[0].Coeffs = nil
-	if _, err := w.Optimize(models, 500, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	calls = 0
-	if _, err := w.Optimize(models, 500, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("opaque model set was memoized")
-	}
+	resultsBitEqual(t, "after caller mutation", second, want)
 }
 
 // TestTrimEdgeCases exercises search.trim degeneracies directly: a

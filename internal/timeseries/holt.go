@@ -188,20 +188,3 @@ func Train(history []float64) (TrainResult, error) {
 	}
 	return best, nil
 }
-
-// NewTrained trains (α, β) on history and returns a predictor primed with
-// that same history, ready to forecast the next epoch.
-func NewTrained(history []float64) (*Holt, TrainResult, error) {
-	res, err := Train(history)
-	if err != nil {
-		return nil, TrainResult{}, err
-	}
-	h, err := NewHolt(res.Alpha, res.Beta)
-	if err != nil {
-		return nil, TrainResult{}, err
-	}
-	for _, o := range history {
-		h.Observe(o)
-	}
-	return h, res, nil
-}

@@ -143,24 +143,6 @@ func TestTrainTooShort(t *testing.T) {
 	}
 }
 
-func TestNewTrainedForecasts(t *testing.T) {
-	var history []float64
-	for i := 0; i < 50; i++ {
-		history = append(history, 10*float64(i))
-	}
-	h, res, err := NewTrained(history)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := h.Forecast()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-500) > 20 {
-		t.Errorf("forecast %v, want ≈ 500 (params %+v)", p, res)
-	}
-}
-
 // Property: for any observation sequence and valid parameters, the
 // forecast is finite and the smoother never panics.
 func TestQuickForecastFinite(t *testing.T) {

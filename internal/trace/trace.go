@@ -34,8 +34,6 @@ var (
 	ErrBadStep = errors.New("trace: step must be positive")
 	// ErrEmpty is returned for operations that need at least one sample.
 	ErrEmpty = errors.New("trace: empty trace")
-	// ErrBadResample is returned for invalid resampling factors.
-	ErrBadResample = errors.New("trace: resample factor must be ≥ 1")
 )
 
 // New constructs a trace, validating the step.
@@ -83,52 +81,6 @@ func (t *Trace) Slice(from, to int) (*Trace, error) {
 		return nil, fmt.Errorf("trace: slice [%d, %d) out of range 0..%d", from, to, len(t.Values))
 	}
 	return New(t.Name, t.TimeAt(from), t.Step, t.Values[from:to])
-}
-
-// Scale returns a copy with every value multiplied by k.
-func (t *Trace) Scale(k float64) *Trace {
-	out := &Trace{Name: t.Name, Start: t.Start, Step: t.Step, Values: make([]float64, len(t.Values))}
-	for i, v := range t.Values {
-		out.Values[i] = v * k
-	}
-	return out
-}
-
-// Clip returns a copy with every value clamped into [lo, hi].
-func (t *Trace) Clip(lo, hi float64) *Trace {
-	out := &Trace{Name: t.Name, Start: t.Start, Step: t.Step, Values: make([]float64, len(t.Values))}
-	for i, v := range t.Values {
-		switch {
-		case v < lo:
-			out.Values[i] = lo
-		case v > hi:
-			out.Values[i] = hi
-		default:
-			out.Values[i] = v
-		}
-	}
-	return out
-}
-
-// Downsample returns a copy with every group of factor samples averaged
-// into one (partial tail groups are averaged over their actual size).
-func (t *Trace) Downsample(factor int) (*Trace, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("%w: %d", ErrBadResample, factor)
-	}
-	out := &Trace{Name: t.Name, Start: t.Start, Step: t.Step * time.Duration(factor)}
-	for i := 0; i < len(t.Values); i += factor {
-		end := i + factor
-		if end > len(t.Values) {
-			end = len(t.Values)
-		}
-		var sum float64
-		for _, v := range t.Values[i:end] {
-			sum += v
-		}
-		out.Values = append(out.Values, sum/float64(end-i))
-	}
-	return out, nil
 }
 
 // Stats summarizes a trace.

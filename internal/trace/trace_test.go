@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -87,44 +86,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestScaleAndClip(t *testing.T) {
-	tr := mustNew(t, []float64{-1, 0, 2})
-	s := tr.Scale(3)
-	if s.Values[2] != 6 || tr.Values[2] != 2 {
-		t.Errorf("Scale mutated input or wrong: %v", s.Values)
-	}
-	c := tr.Clip(0, 1)
-	want := []float64{0, 0, 1}
-	for i := range want {
-		if c.Values[i] != want[i] {
-			t.Errorf("Clip[%d] = %v, want %v", i, c.Values[i], want[i])
-		}
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	tr := mustNew(t, []float64{1, 3, 5, 7, 9})
-	d, err := tr.Downsample(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 6, 9} // pairs averaged, tail singleton
-	if len(d.Values) != len(want) {
-		t.Fatalf("len = %d, want %d", len(d.Values), len(want))
-	}
-	for i := range want {
-		if d.Values[i] != want[i] {
-			t.Errorf("Downsample[%d] = %v, want %v", i, d.Values[i], want[i])
-		}
-	}
-	if d.Step != 30*time.Minute {
-		t.Errorf("step = %v, want 30m", d.Step)
-	}
-	if _, err := tr.Downsample(0); !errors.Is(err, ErrBadResample) {
-		t.Errorf("err = %v, want ErrBadResample", err)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	tr := mustNew(t, []float64{4, -2, 10})
 	s, err := tr.Summarize()
@@ -194,73 +155,5 @@ func TestJSONBadStep(t *testing.T) {
 	err := json.Unmarshal([]byte(`{"name":"x","start":"2021-06-01T00:00:00Z","stepMillis":0,"values":[]}`), &got)
 	if !errors.Is(err, ErrBadStep) {
 		t.Errorf("err = %v, want ErrBadStep", err)
-	}
-}
-
-// Property: Downsample never changes the overall mean (it averages groups,
-// and the tail group is weighted by actual size — so compare against the
-// group-weighted mean instead of sample mean when tail is partial; with
-// factor dividing length they agree exactly).
-func TestQuickDownsampleMeanPreserved(t *testing.T) {
-	f := func(raw []uint8, factorRaw uint8) bool {
-		factor := int(factorRaw%4) + 1
-		// Pad to a multiple of factor so means must agree exactly.
-		vals := make([]float64, 0, len(raw))
-		for _, r := range raw {
-			vals = append(vals, float64(r))
-		}
-		for len(vals)%factor != 0 {
-			vals = append(vals, 0)
-		}
-		if len(vals) == 0 {
-			return true
-		}
-		tr, err := New("q", t0, time.Minute, vals)
-		if err != nil {
-			return false
-		}
-		d, err := tr.Downsample(factor)
-		if err != nil {
-			return false
-		}
-		s1, err1 := tr.Summarize()
-		s2, err2 := d.Summarize()
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return math.Abs(s1.Mean-s2.Mean) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Clip output is always within bounds and idempotent.
-func TestQuickClipBoundsIdempotent(t *testing.T) {
-	f := func(raw []int8) bool {
-		vals := make([]float64, len(raw))
-		for i, r := range raw {
-			vals[i] = float64(r)
-		}
-		tr, err := New("q", t0, time.Minute, vals)
-		if err != nil {
-			return false
-		}
-		c := tr.Clip(-10, 10)
-		for _, v := range c.Values {
-			if v < -10 || v > 10 {
-				return false
-			}
-		}
-		c2 := c.Clip(-10, 10)
-		for i := range c.Values {
-			if c.Values[i] != c2.Values[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

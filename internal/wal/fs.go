@@ -1,21 +1,19 @@
-// Package wal implements the daemon's durable-state plane: a segmented,
-// CRC32C-framed write-ahead log plus atomic snapshots over a small
-// filesystem abstraction. The daemon journals each scheduling epoch and
-// periodically compacts the log into a snapshot written with the
-// write-temp → fsync → rename → fsync-dir discipline, so a crash at any
-// instant leaves either the old state or the new state on disk — never
-// a torn mixture presented as valid.
+// Package wal implements the durable-state plane under sim.Journal: a
+// segmented, CRC32C-framed write-ahead log plus atomic snapshots over a
+// small filesystem abstraction. Every record the journal appends is a
+// full session state, so recovery is a read, not a re-execution: Open
+// restores the newest valid snapshot and the verified log tail after
+// it, and the journal takes the last state in commit order. Snapshots
+// are written with the write-temp → fsync → rename → fsync-dir
+// discipline and prune the log behind them, so a crash at any instant
+// leaves either the old state or the new state on disk — never a torn
+// mixture presented as valid.
 //
-// Recovery is logical redo: because the controller session is a
-// deterministic state machine (seeded RNG with a persisted draw
-// counter), the log does not need to carry physical state deltas. Each
-// committed record pins one epoch's journaled outcome; replay restores
-// the newest valid snapshot and re-executes the journaled epochs,
-// verifying each re-derived outcome byte-for-byte against the log. A
-// torn or corrupt tail is truncated with a logged warning — the dropped
-// epochs were never durably committed and re-execute identically when
-// the daemon resumes — so recovery never refuses to start over tail
-// damage.
+// A segment runs from an Open or a snapshot to the next snapshot, so
+// the log is one segment unless the store was reopened since the last
+// snapshot. A torn or corrupt tail is truncated with a logged warning —
+// the dropped records were never durably committed — so recovery never
+// refuses to start over tail damage.
 //
 // The FS seam exists for the deterministic crash-injection harness
 // (CrashFS): production uses DirFS over a real directory with real

@@ -13,11 +13,12 @@ import (
 // the bytes it was decoded from, keeps sequence numbers strictly
 // consecutive, and consumes exactly the clean prefix.
 func FuzzWALReplay(f *testing.F) {
-	// Seed corpus: a clean three-record log, plus mutants.
+	// Seed corpus: a clean three-record log of journal state frames
+	// (type 3), plus mutants.
 	clean := encodeFramesForTest(f, []Record{
-		{Seq: 1, Type: 1, Data: []byte(`{"epoch":0}`)},
-		{Seq: 2, Type: 2, Data: []byte(`{"epoch":0,"result":{}}`)},
-		{Seq: 3, Type: 1, Data: []byte(`{"epoch":1}`)},
+		{Seq: 1, Type: 3, Data: []byte(`{"schema":2,"state":{"epoch":1}}`)},
+		{Seq: 2, Type: 3, Data: []byte(`{"schema":2,"state":{"epoch":2},"data":{}}`)},
+		{Seq: 3, Type: 3, Data: []byte(`{"schema":2,"state":{"epoch":3}}`)},
 	})
 	f.Add(clean)
 	f.Add(clean[:len(clean)-3])                 // torn tail

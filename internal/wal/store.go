@@ -24,16 +24,6 @@ const (
 // caller-defined types below 0xff.
 const TypeSnapshot byte = 0xff
 
-// Options tunes a Store.
-type Options struct {
-	// SegmentRecords caps records per segment before rotation
-	// (default 128).
-	SegmentRecords int
-	// Logf receives recovery warnings (truncation, dropped segments,
-	// ignored snapshots). Nil discards them.
-	Logf func(format string, args ...any)
-}
-
 // Recovered is what Open salvaged from the state dir.
 type Recovered struct {
 	// SnapshotEpoch is the epoch of the newest valid snapshot, -1 when
@@ -47,19 +37,18 @@ type Recovered struct {
 	Truncated bool
 }
 
-// Store is the segmented write-ahead log plus snapshot manager. One
-// writer at a time; Append and SaveSnapshot are fully synchronous — when
-// they return nil the bytes are durable.
+// Store is the segmented write-ahead log plus snapshot manager. A
+// segment runs from an Open or a snapshot to the next snapshot, so a
+// chain of segments forms only across reopens. One writer at a time;
+// Append and SaveSnapshot are fully synchronous — when they return nil
+// the bytes are durable.
 type Store struct {
-	fs         FS
-	segRecords int
-	logf       func(string, ...any)
+	fs   FS
+	logf func(string, ...any)
 
 	mu sync.Mutex
 	// ghlint:guardedby mu
 	cur File
-	// ghlint:guardedby mu
-	curCount int
 	// ghlint:guardedby mu
 	segNames []string
 	// ghlint:guardedby mu
@@ -74,25 +63,17 @@ type Store struct {
 // Damage never fails an Open: a torn or corrupt tail is truncated (and
 // the damaged segment physically repaired so the bad bytes cannot
 // resurface), invalid snapshots are skipped, and leftover temporaries
-// are deleted — each with a warning through Options.Logf. Open fails
-// only on real I/O errors.
-func Open(fsys FS, o Options) (*Store, Recovered, error) {
+// are deleted — each with a warning through logf (nil discards them).
+// Open fails only on real I/O errors.
+func Open(fsys FS, logf func(format string, args ...any)) (*Store, Recovered, error) {
 	if fsys == nil {
 		return nil, Recovered{}, errors.New("wal: nil fs")
 	}
-	if o.SegmentRecords == 0 {
-		o.SegmentRecords = 128
-	}
-	if o.SegmentRecords < 1 {
-		return nil, Recovered{}, fmt.Errorf("wal: segment records %d", o.SegmentRecords)
-	}
-	logf := o.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	s := &Store{
 		fs:            fsys,
-		segRecords:    o.SegmentRecords,
 		logf:          logf,
 		nextSeq:       1,
 		lastSnapEpoch: -1,
@@ -365,7 +346,6 @@ func (s *Store) Append(typ byte, data []byte) error {
 			return fmt.Errorf("wal: sync dir after segment create: %w", err)
 		}
 		s.cur = f
-		s.curCount = 0
 		s.segNames = append(s.segNames, name)
 	}
 	frame, err := appendFrame(nil, Record{Seq: s.nextSeq, Type: typ, Data: data})
@@ -379,14 +359,6 @@ func (s *Store) Append(typ byte, data []byte) error {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
 	s.nextSeq++
-	s.curCount++
-	if s.curCount >= s.segRecords {
-		err := s.cur.Close()
-		s.cur = nil
-		if err != nil {
-			return fmt.Errorf("wal: close segment: %w", err)
-		}
-	}
 	return nil
 }
 

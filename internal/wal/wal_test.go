@@ -17,9 +17,9 @@ func collectLogf(dst *[]string) func(string, ...any) {
 	}
 }
 
-func mustOpen(t *testing.T, fsys FS, o Options) (*Store, Recovered) {
+func mustOpen(t *testing.T, fsys FS, logf func(string, ...any)) (*Store, Recovered) {
 	t.Helper()
-	s, rec, err := Open(fsys, o)
+	s, rec, err := Open(fsys, logf)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -37,7 +37,7 @@ func appendN(t *testing.T, s *Store, typ byte, n int, label string) {
 
 func TestStoreRoundTrip(t *testing.T) {
 	fs := NewCrashFS(1)
-	s, rec := mustOpen(t, fs, Options{})
+	s, rec := mustOpen(t, fs, nil)
 	if rec.SnapshotEpoch != -1 || len(rec.Records) != 0 || rec.Truncated {
 		t.Fatalf("fresh dir recovered %+v", rec)
 	}
@@ -46,7 +46,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	_, rec2 := mustOpen(t, fs, Options{})
+	_, rec2 := mustOpen(t, fs, nil)
 	if len(rec2.Records) != 5 || rec2.Truncated {
 		t.Fatalf("reopen recovered %d records (truncated=%v), want 5 clean", len(rec2.Records), rec2.Truncated)
 	}
@@ -57,26 +57,50 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// appendRuns forms a segment chain: each run of records goes to a fresh
+// segment, because every Open starts one.
+func appendRuns(t *testing.T, fsys FS, runs ...int) *Store {
+	t.Helper()
+	var s *Store
+	for i, n := range runs {
+		if s != nil {
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		}
+		s, _ = mustOpen(t, fsys, nil)
+		appendN(t, s, 1, n, fmt.Sprintf("run%d", i))
+	}
+	return s
+}
+
 func TestStoreSegmentRotationAndContinuity(t *testing.T) {
 	fs := NewCrashFS(2)
-	s, _ := mustOpen(t, fs, Options{SegmentRecords: 3})
-	appendN(t, s, 1, 10, "x")
+	s := appendRuns(t, fs, 3, 3, 3, 1)
 	if got := s.Segments(); got != 4 {
-		t.Fatalf("segments = %d, want 4 (10 records / 3 per segment)", got)
+		t.Fatalf("segments = %d, want 4 (one per open)", got)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	s2, rec := mustOpen(t, fs, Options{SegmentRecords: 3})
+	s2, rec := mustOpen(t, fs, nil)
 	if len(rec.Records) != 10 || rec.Truncated {
 		t.Fatalf("recovered %d records (truncated=%v), want 10 clean", len(rec.Records), rec.Truncated)
 	}
+	for i, r := range rec.Records {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d: the chain is not continuous", i, r.Seq)
+		}
+	}
 	// New appends continue the sequence in a fresh segment.
 	appendN(t, s2, 1, 1, "y")
+	if got := s2.Segments(); got != 5 {
+		t.Fatalf("segments after resume-append = %d, want 5", got)
+	}
 	if err := s2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	_, rec2 := mustOpen(t, fs, Options{SegmentRecords: 3})
+	_, rec2 := mustOpen(t, fs, nil)
 	if len(rec2.Records) != 11 || rec2.Records[10].Seq != 11 {
 		t.Fatalf("after resume-append: %d records, last seq %d", len(rec2.Records), rec2.Records[len(rec2.Records)-1].Seq)
 	}
@@ -84,7 +108,7 @@ func TestStoreSegmentRotationAndContinuity(t *testing.T) {
 
 func TestStoreSnapshotCutsAndPrunes(t *testing.T) {
 	fs := NewCrashFS(3)
-	s, _ := mustOpen(t, fs, Options{})
+	s, _ := mustOpen(t, fs, nil)
 	appendN(t, s, 1, 4, "pre")
 	if err := s.SaveSnapshot(4, []byte("state@4")); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
@@ -100,7 +124,7 @@ func TestStoreSnapshotCutsAndPrunes(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	_, rec := mustOpen(t, fs, Options{})
+	_, rec := mustOpen(t, fs, nil)
 	if rec.SnapshotEpoch != 4 || string(rec.Snapshot) != "state@4" {
 		t.Fatalf("recovered snapshot epoch %d data %q", rec.SnapshotEpoch, rec.Snapshot)
 	}
@@ -133,7 +157,7 @@ func TestStoreTornTailTruncatesAndRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDirFS: %v", err)
 	}
-	s, _ := mustOpen(t, dfs, Options{})
+	s, _ := mustOpen(t, dfs, nil)
 	appendN(t, s, 1, 3, "r")
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -149,7 +173,7 @@ func TestStoreTornTailTruncatesAndRepairs(t *testing.T) {
 	}
 
 	var warnings []string
-	s2, rec, err := Open(dfs, Options{Logf: collectLogf(&warnings)})
+	s2, rec, err := Open(dfs, collectLogf(&warnings))
 	if err != nil {
 		t.Fatalf("Open over torn tail must succeed, got %v", err)
 	}
@@ -165,7 +189,7 @@ func TestStoreTornTailTruncatesAndRepairs(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	var w2 []string
-	_, rec2, err := Open(dfs, Options{Logf: collectLogf(&w2)})
+	_, rec2, err := Open(dfs, collectLogf(&w2))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -180,8 +204,7 @@ func TestStoreCorruptMiddleDropsLaterSegments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDirFS: %v", err)
 	}
-	s, _ := mustOpen(t, dfs, Options{SegmentRecords: 2})
-	appendN(t, s, 1, 6, "r") // three segments
+	s := appendRuns(t, dfs, 2, 2, 2) // three segments
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -200,7 +223,7 @@ func TestStoreCorruptMiddleDropsLaterSegments(t *testing.T) {
 	}
 
 	var warnings []string
-	_, rec, err := Open(dfs, Options{SegmentRecords: 2, Logf: collectLogf(&warnings)})
+	_, rec, err := Open(dfs, collectLogf(&warnings))
 	if err != nil {
 		t.Fatalf("Open over corrupt middle must succeed, got %v", err)
 	}
@@ -217,7 +240,7 @@ func TestStoreCorruptMiddleDropsLaterSegments(t *testing.T) {
 
 func TestStoreInvalidSnapshotFallsBack(t *testing.T) {
 	fs := NewCrashFS(4)
-	s, _ := mustOpen(t, fs, Options{})
+	s, _ := mustOpen(t, fs, nil)
 	appendN(t, s, 1, 1, "a")
 	if err := s.SaveSnapshot(1, []byte("good@1")); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
@@ -238,7 +261,7 @@ func TestStoreInvalidSnapshotFallsBack(t *testing.T) {
 	}
 
 	var warnings []string
-	_, rec, err := Open(fs, Options{Logf: collectLogf(&warnings)})
+	_, rec, err := Open(fs, collectLogf(&warnings))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -263,7 +286,7 @@ func TestStoreRemovesLeftoverTemp(t *testing.T) {
 		t.Fatalf("syncdir: %v", err)
 	}
 	var warnings []string
-	mustOpen(t, fs, Options{Logf: collectLogf(&warnings)})
+	mustOpen(t, fs, collectLogf(&warnings))
 	if !anyContains(warnings, "leftover temporary") {
 		t.Fatalf("no temp warning in %v", warnings)
 	}
@@ -283,10 +306,12 @@ func TestStoreRemovesLeftoverTemp(t *testing.T) {
 // mutating FS operation, recovered, and re-opened; recovery must always
 // yield a clean prefix of the committed records, and completing the
 // workload afterwards must always produce the full committed history.
+// The workload reopens the store mid-run before and after its snapshot,
+// so the crashpoints cross segment boundaries on both sides of it.
 func TestStoreCrashAtEveryOp(t *testing.T) {
 	const seed = 42
 	workload := func(fs *CrashFS) error {
-		s, rec, err := Open(fs, Options{SegmentRecords: 2})
+		s, rec, err := Open(fs, nil)
 		if err != nil {
 			return err
 		}
@@ -301,6 +326,14 @@ func TestStoreCrashAtEveryOp(t *testing.T) {
 			// restarted run re-decides it identically.
 			if next == 4 && s.LastSnapshotEpoch() < 4 {
 				if err := s.SaveSnapshot(4, []byte("snap4")); err != nil {
+					return err
+				}
+			}
+			if next == 2 || next == 6 {
+				if err := s.Close(); err != nil {
+					return err
+				}
+				if s, _, err = Open(fs, nil); err != nil {
 					return err
 				}
 			}
@@ -320,7 +353,7 @@ func TestStoreCrashAtEveryOp(t *testing.T) {
 	if total < 20 {
 		t.Fatalf("workload exposes only %d crashpoints; expected a rich schedule", total)
 	}
-	_, baseRec, err := Open(base, Options{SegmentRecords: 2})
+	_, baseRec, err := Open(base, nil)
 	if err != nil {
 		t.Fatalf("baseline reopen: %v", err)
 	}
@@ -345,7 +378,7 @@ func TestStoreCrashAtEveryOp(t *testing.T) {
 		if err := workload(fs); err != nil {
 			t.Fatalf("crashpoint %d: restarted workload failed: %v", k, err)
 		}
-		_, rec, err := Open(fs, Options{SegmentRecords: 2})
+		_, rec, err := Open(fs, nil)
 		if err != nil {
 			t.Fatalf("crashpoint %d: final open: %v", k, err)
 		}
