@@ -109,6 +109,10 @@ type Controller struct {
 	scratch *policy.Scratch
 	// bidEntry backs BelievedDemandW's projection lookups.
 	bidEntry profiledb.Entry
+	// tryFn is cfg.TryAllocation bound once, in New, to the supply that
+	// allocate stores in trySupplyW, so an epoch builds no closure.
+	tryFn      func(fractions []float64) (float64, error)
+	trySupplyW float64
 }
 
 // recoverSoC is the state of charge at which a bank that drained to its
@@ -159,14 +163,18 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Controller{
+	c := &Controller{
 		cfg:       cfg,
 		renewable: ren,
 		demand:    dem,
 		psc:       psc,
 		groups:    cfg.Rack.Groups(),
 		scratch:   policy.NewScratch(),
-	}, nil
+	}
+	if cfg.TryAllocation != nil {
+		c.tryFn = func(fracs []float64) (float64, error) { return cfg.TryAllocation(c.trySupplyW, fracs) }
+	}
+	return c, nil
 }
 
 // Decision records everything the controller decided for one epoch.
@@ -366,7 +374,8 @@ func (c *Controller) forecast(h timeseries.Predictor, fallback float64) float64 
 // entry for its workload. Returns whether any training ran this epoch.
 func (c *Controller) ensureProfiled(groupWs []workload.Workload) (bool, error) {
 	var trained bool
-	for i, g := range c.groups {
+	for i := range c.groups {
+		g := &c.groups[i]
 		k := profiledb.Key{ServerID: g.Spec.ID, WorkloadID: groupWs[i].ID}
 		if c.cfg.DB.Has(k) {
 			continue
@@ -393,7 +402,8 @@ func (c *Controller) demandShares(groupWs []workload.Workload) []float64 {
 	groups := c.groups
 	demands := make([]float64, len(groups))
 	var total float64
-	for i, g := range groups {
+	for i := range groups {
+		g := &groups[i]
 		perServer := g.Spec.PeakW
 		if e, err := c.cfg.DB.Projection(profiledb.Key{ServerID: g.Spec.ID, WorkloadID: groupWs[i].ID}); err == nil {
 			perServer = e.PeakEffW
@@ -414,6 +424,7 @@ func (c *Controller) demandShares(groupWs []workload.Workload) []float64 {
 //
 // ghlint:allocfree
 func (c *Controller) allocate(groupWs []workload.Workload, supplyW float64) ([]float64, error) {
+	c.trySupplyW = supplyW
 	ctx := policy.Context{
 		Groups:         c.groups,
 		Workload:       groupWs[0],
@@ -421,11 +432,7 @@ func (c *Controller) allocate(groupWs []workload.Workload, supplyW float64) ([]f
 		SupplyW:        supplyW,
 		DB:             c.cfg.DB,
 		Scratch:        c.scratch,
-	}
-	if c.cfg.TryAllocation != nil {
-		ctx.TryAllocation = func(fracs []float64) (float64, error) { //lint:ghlint ignore allocfree the trial closure exists only for Manual's live probing, never on the solver path
-			return c.cfg.TryAllocation(supplyW, fracs)
-		}
+		TryAllocation:  c.tryFn,
 	}
 	fracs, err := c.cfg.Policy.Allocate(ctx) //lint:ghlint ignore allocfree policy dispatch: Solver.Allocate is verified; the baseline policies allocate by design
 	if err != nil {
@@ -442,15 +449,14 @@ func (c *Controller) Feedback(groupWs []workload.Workload, groupSamples map[int]
 	if !c.cfg.Policy.UpdatesDB() {
 		return nil
 	}
-	groups := c.cfg.Rack.Groups()
-	if len(groupWs) != len(groups) {
-		return fmt.Errorf("core: feedback: %d workloads for %d groups", len(groupWs), len(groups))
+	if len(groupWs) != len(c.groups) {
+		return fmt.Errorf("core: feedback: %d workloads for %d groups", len(groupWs), len(c.groups))
 	}
 	for idx, samples := range groupSamples {
-		if idx < 0 || idx >= len(groups) {
+		if idx < 0 || idx >= len(c.groups) {
 			return fmt.Errorf("core: feedback: group index %d out of range", idx)
 		}
-		k := profiledb.Key{ServerID: groups[idx].Spec.ID, WorkloadID: groupWs[idx].ID}
+		k := profiledb.Key{ServerID: c.groups[idx].Spec.ID, WorkloadID: groupWs[idx].ID}
 		if err := c.cfg.DB.AddFeedback(k, samples...); err != nil {
 			// A degenerate refit must not abort the run; the previous
 			// projection remains in force.
@@ -489,7 +495,8 @@ func (c *Controller) BelievedDemandW(groupWs []workload.Workload) (float64, erro
 		return 0, fmt.Errorf("core: bid: %d workloads for %d groups", len(groupWs), len(c.groups))
 	}
 	var total float64
-	for i, g := range c.groups {
+	for i := range c.groups {
+		g := &c.groups[i]
 		perServer := g.Spec.PeakW
 		k := profiledb.Key{ServerID: g.Spec.ID, WorkloadID: groupWs[i].ID}
 		if err := c.cfg.DB.ProjectionInto(k, &c.bidEntry); err == nil {

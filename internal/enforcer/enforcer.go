@@ -69,7 +69,7 @@ func (SPC) Instructions(rack *server.Rack, fractions []float64, supplyW float64)
 			GroupIndex: i,
 			ServerID:   g.Spec.ID,
 			TargetW:    perServer,
-			State:      g.Spec.StateForPower(perServer),
+			State:      rack.StateForPower(i, perServer),
 		}
 	}
 	return out, nil

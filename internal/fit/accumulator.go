@@ -2,13 +2,13 @@ package fit
 
 import "fmt"
 
-// Accumulator is the incremental form of Polynomial: it maintains the
-// normal-equation sums (Σ xᵏ and Σ y·xᵏ) as samples arrive, so the
-// per-epoch refit of a profile-database entry costs O(degree) per
-// appended sample plus one small dense solve — instead of re-walking the
-// whole retained window — and performs zero steady-state allocations
-// (the matrix, right-hand side, and coefficient buffers are preallocated
-// at construction).
+// Accumulator is the incremental form of Quadratic (and of the Linear
+// fallback): it maintains the normal-equation sums (Σ xᵏ for k ≤ 4 and
+// Σ y·xᵏ for k ≤ 2) as samples arrive, so the per-epoch refit of a
+// profile-database entry costs a few multiply-adds per appended sample
+// plus one small dense solve — instead of re-walking the whole retained
+// window — and performs zero steady-state allocations. The zero value
+// is ready to use.
 //
 // Equivalence contract (enforced by FuzzFitIncremental): a Fit over a
 // window whose samples were Appended in order returns the bit-identical
@@ -19,114 +19,86 @@ import "fmt"
 // eviction: subtracting an evicted sample's contributions re-associates
 // the floating-point additions and is only ULP-close, not identical
 // ((a+b)-a ≠ b in general). Eviction therefore re-accumulates over the
-// retained window via ReplaceWindow — O(window·degree), still
-// allocation-free, and the window is small by design (profiledb caps it
-// at 64 samples).
+// retained window via ReplaceWindow — O(window), still allocation-free,
+// and the window is small by design (profiledb caps it at 64 samples).
 type Accumulator struct {
-	degree int
-	n      int
-	// pow[k] = Σ xᵏ for k in [0, 2·degree]; mom[k] = Σ y·xᵏ for
-	// k in [0, degree]. Identical accumulation order to Polynomial.
-	pow []float64
-	mom []float64
-	// Preallocated solve scratch: rows points into rowBuf (the normal
-	// matrix is rebuilt from pow before every solve, and solveLinearInto
-	// swaps row headers while pivoting).
-	rows   [][]float64
-	rowBuf []float64
-	rhs    []float64
+	n int
+	// pow[k] = Σ xᵏ and mom[k] = Σ y·xᵏ, accumulated in Polynomial's
+	// order. A linear fit reads their prefixes.
+	pow [5]float64
+	mom [3]float64
+	// Solve scratch: the normal matrix is rebuilt from pow into rowBuf
+	// before every solve, and solveLinearInto swaps row headers while
+	// pivoting.
+	rows   [3][]float64
+	rowBuf [9]float64
+	rhs    [3]float64
 	// Double-buffered coefficients: a failed solve may scribble on its
 	// output before detecting a NaN, so each Fit solves into the buffer
 	// the previous successful Fit did NOT return. The previously
 	// returned Poly (e.g. a live profiledb curve kept in force after a
 	// degenerate refit) is never corrupted by a failed attempt.
-	coeffs [2][]float64
+	coeffs [2][3]float64
 	cur    int
 }
 
-// NewAccumulator prepares an accumulator for fits up to the given
-// degree (lower degrees can be fitted from the same sums — the sums a
-// degree-d fit needs are a prefix of a higher-degree accumulator's).
-func NewAccumulator(degree int) (*Accumulator, error) {
-	if degree < 1 || degree > 6 {
-		return nil, ErrBadDegree
-	}
-	m := degree + 1
-	a := &Accumulator{
-		degree: degree,
-		pow:    make([]float64, 2*degree+1),
-		mom:    make([]float64, m),
-		rows:   make([][]float64, m),
-		rowBuf: make([]float64, m*m),
-		rhs:    make([]float64, m),
-	}
-	a.coeffs[0] = make([]float64, m)
-	a.coeffs[1] = make([]float64, m)
-	return a, nil
-}
-
-// Len reports the number of accumulated samples.
-func (a *Accumulator) Len() int { return a.n }
-
-// Degree reports the maximum fittable degree.
-func (a *Accumulator) Degree() int { return a.degree }
-
 // Append folds one sample into the running sums. It performs exactly
-// the batch loop's per-sample updates (same expressions, same order),
-// which is what makes append-only windows bit-identical to batch fits.
+// the batch loop's per-sample updates (xᵏ by repeated multiplication,
+// each sum's own order), which is what makes append-only windows
+// bit-identical to batch fits. The float64 conversions round each power
+// before it is summed, as the batch loop's xp is, so no platform may
+// fuse the multiply into the add.
 //
 // ghlint:allocfree
 func (a *Accumulator) Append(s Sample) {
-	xp := 1.0
-	for k := 0; k <= 2*a.degree; k++ {
-		a.pow[k] += xp
-		if k <= a.degree {
-			a.mom[k] += s.Y * xp
-		}
-		xp *= s.X
-	}
+	x2 := float64(s.X * s.X)
+	x3 := float64(x2 * s.X)
+	a.pow[0]++
+	a.pow[1] += s.X
+	a.pow[2] += x2
+	a.pow[3] += x3
+	a.pow[4] += float64(x3 * s.X)
+	a.mom[0] += s.Y
+	a.mom[1] += s.Y * s.X
+	a.mom[2] += s.Y * x2
 	a.n++
 }
 
-// Reset clears the sums (the solve buffers are retained).
-//
-// ghlint:allocfree
-func (a *Accumulator) Reset() {
-	for i := range a.pow {
-		a.pow[i] = 0
-	}
-	for i := range a.mom {
-		a.mom[i] = 0
-	}
-	a.n = 0
-}
-
-// ReplaceWindow resets and re-accumulates over window in order — the
-// eviction path (see the type comment for why eviction cannot be O(1)
-// without losing bit-identity).
+// ReplaceWindow resets the sums and re-accumulates them over window in
+// order — the eviction path (see the type comment for why eviction
+// cannot be O(1) without losing bit-identity). It is Append's
+// arithmetic with the sums held in locals.
 //
 // ghlint:allocfree
 func (a *Accumulator) ReplaceWindow(window []Sample) {
-	a.Reset()
+	var p0, p1, p2, p3, p4, m0, m1, m2 float64
 	for _, s := range window {
-		a.Append(s)
+		x2 := float64(s.X * s.X)
+		x3 := float64(x2 * s.X)
+		p0++
+		p1 += s.X
+		p2 += x2
+		p3 += x3
+		p4 += float64(x3 * s.X)
+		m0 += s.Y
+		m1 += s.Y * s.X
+		m2 += s.Y * x2
 	}
+	a.pow = [5]float64{p0, p1, p2, p3, p4}
+	a.mom = [3]float64{m0, m1, m2}
+	a.n = len(window)
 }
 
-// Fit solves the normal equations for the given degree from the running
-// sums. window must hold exactly the accumulated samples, in order; it
-// is consulted only for the R² computation. The returned Poly's Coeffs
-// alias an internal buffer that remains valid until the next successful
-// Fit — callers that retain coefficients across fits must copy them
-// (profiledb's Lookup/Save/Projection all do).
+// Fit solves the normal equations for degree 1 or 2 from the running
+// sums. The returned Poly's Coeffs alias an internal buffer that remains
+// valid until the next successful Fit — callers that retain
+// coefficients across fits must copy them (profiledb's
+// Lookup/Save/Projection all do).
 //
 // ghlint:allocfree
-func (a *Accumulator) Fit(window []Sample, degree int) (Poly, error) {
-	if degree < 1 || degree > a.degree {
+func (a *Accumulator) Fit(degree int) (Poly, error) {
+	if degree < 1 || degree > 2 {
 		return Poly{}, ErrBadDegree
-	}
-	if len(window) != a.n {
-		return Poly{}, fmt.Errorf("fit: window has %d samples, accumulator holds %d", len(window), a.n)
 	}
 	m := degree + 1
 	if a.n < m {
@@ -146,7 +118,5 @@ func (a *Accumulator) Fit(window []Sample, degree int) (Poly, error) {
 		return Poly{}, err
 	}
 	a.cur = 1 - a.cur
-	p := Poly{Coeffs: next, N: a.n}
-	p.R2 = rSquared(window, p)
-	return p, nil
+	return Poly{Coeffs: next, N: a.n}, nil
 }

@@ -2,14 +2,17 @@ package fit
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
 
-// polyBitsEqual reports whether two fits are bit-identical (coefficients,
-// R², and N), the equivalence currency of the hot-path optimizations.
-func polyBitsEqual(a, b Poly) bool {
-	if a.N != b.N || math.Float64bits(a.R2) != math.Float64bits(b.R2) || len(a.Coeffs) != len(b.Coeffs) {
+// polyBitsEqual reports whether two fits of window are bit-identical
+// (coefficients, N, and the R² RSquared derives from them), the
+// equivalence currency of the hot-path optimizations.
+func polyBitsEqual(window []Sample, a, b Poly) bool {
+	if a.N != b.N || len(a.Coeffs) != len(b.Coeffs) ||
+		math.Float64bits(RSquared(window, a)) != math.Float64bits(RSquared(window, b)) {
 		return false
 	}
 	for i := range a.Coeffs {
@@ -18,15 +21,6 @@ func polyBitsEqual(a, b Poly) bool {
 		}
 	}
 	return true
-}
-
-func mustAcc(t *testing.T, degree int) *Accumulator {
-	t.Helper()
-	a, err := NewAccumulator(degree)
-	if err != nil {
-		t.Fatalf("NewAccumulator(%d): %v", degree, err)
-	}
-	return a
 }
 
 // quadSamples synthesizes a noisy-but-deterministic quadratic window.
@@ -41,13 +35,13 @@ func quadSamples(n int) []Sample {
 
 func TestAccumulatorMatchesBatchAppendOnly(t *testing.T) {
 	samples := quadSamples(40)
-	acc := mustAcc(t, 2)
+	var acc Accumulator
 	for i, s := range samples {
 		acc.Append(s)
 		window := samples[:i+1]
 		for _, deg := range []int{1, 2} {
 			want, wantErr := Polynomial(window, deg)
-			got, gotErr := acc.Fit(window, deg)
+			got, gotErr := acc.Fit(deg)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("n=%d deg=%d: batch err %v, acc err %v", i+1, deg, wantErr, gotErr)
 			}
@@ -57,7 +51,7 @@ func TestAccumulatorMatchesBatchAppendOnly(t *testing.T) {
 				}
 				continue
 			}
-			if !polyBitsEqual(want, got) {
+			if !polyBitsEqual(window, want, got) {
 				t.Fatalf("n=%d deg=%d: batch %+v, acc %+v not bit-identical", i+1, deg, want, got)
 			}
 		}
@@ -65,37 +59,41 @@ func TestAccumulatorMatchesBatchAppendOnly(t *testing.T) {
 }
 
 func TestAccumulatorMatchesBatchAfterEviction(t *testing.T) {
-	const window = 16
-	samples := quadSamples(60)
-	acc := mustAcc(t, 2)
-	var win []Sample
-	for _, s := range samples {
-		win = append(win, s)
-		if len(win) > window {
-			win = win[1:]
-			acc.ReplaceWindow(win)
-		} else {
-			acc.Append(s)
-		}
-		want, err := Quadratic(win)
-		if err != nil {
-			continue
-		}
-		got, err := acc.Fit(win, 2)
-		if err != nil {
-			t.Fatalf("acc fit errored (%v) where batch succeeded", err)
-		}
-		if !polyBitsEqual(want, got) {
-			t.Fatalf("window fit diverged: batch %+v acc %+v", want, got)
-		}
+	// 64 is profiledb's production window cap.
+	for _, window := range []int{16, 64} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			samples := quadSamples(window + 44)
+			var acc Accumulator
+			var win []Sample
+			for _, s := range samples {
+				win = append(win, s)
+				if len(win) > window {
+					win = win[1:]
+					acc.ReplaceWindow(win)
+				} else {
+					acc.Append(s)
+				}
+				want, err := Quadratic(win)
+				if err != nil {
+					continue
+				}
+				got, err := acc.Fit(2)
+				if err != nil {
+					t.Fatalf("acc fit errored (%v) where batch succeeded", err)
+				}
+				if !polyBitsEqual(win, want, got) {
+					t.Fatalf("window fit diverged: batch %+v acc %+v", want, got)
+				}
+			}
+		})
 	}
 }
 
 func TestAccumulatorFailedSolveKeepsPreviousCoeffs(t *testing.T) {
 	good := quadSamples(8)
-	acc := mustAcc(t, 2)
+	var acc Accumulator
 	acc.ReplaceWindow(good)
-	p, err := acc.Fit(good, 2)
+	p, err := acc.Fit(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +105,7 @@ func TestAccumulatorFailedSolveKeepsPreviousCoeffs(t *testing.T) {
 		bad[i] = Sample{X: 50, Y: float64(i)}
 	}
 	acc.ReplaceWindow(bad)
-	if _, err := acc.Fit(bad, 2); err == nil {
+	if _, err := acc.Fit(2); err == nil {
 		t.Fatal("expected singular fit to fail")
 	}
 	// The previously returned Poly must be untouched: a live profiledb
@@ -120,36 +118,32 @@ func TestAccumulatorFailedSolveKeepsPreviousCoeffs(t *testing.T) {
 }
 
 func TestAccumulatorValidation(t *testing.T) {
-	if _, err := NewAccumulator(0); !errors.Is(err, ErrBadDegree) {
-		t.Fatalf("degree 0: %v", err)
+	var acc Accumulator
+	acc.ReplaceWindow(quadSamples(2))
+	if _, err := acc.Fit(2); !errors.Is(err, ErrTooFewSamples) {
+		t.Fatalf("2 samples, degree 2: %v", err)
 	}
-	if _, err := NewAccumulator(7); !errors.Is(err, ErrBadDegree) {
-		t.Fatalf("degree 7: %v", err)
+	acc.ReplaceWindow(quadSamples(5))
+	for _, deg := range []int{0, 3} {
+		if _, err := acc.Fit(deg); !errors.Is(err, ErrBadDegree) {
+			t.Fatalf("degree %d: %v", deg, err)
+		}
 	}
-	acc := mustAcc(t, 2)
-	samples := quadSamples(5)
-	acc.ReplaceWindow(samples)
-	if _, err := acc.Fit(samples, 3); !errors.Is(err, ErrBadDegree) {
-		t.Fatalf("degree above accumulator's: %v", err)
-	}
-	if _, err := acc.Fit(samples[:3], 2); err == nil {
-		t.Fatal("window/accumulator length mismatch must error")
-	}
-	if _, err := acc.Fit(samples, 2); err != nil {
+	if _, err := acc.Fit(2); err != nil {
 		t.Fatalf("valid fit: %v", err)
 	}
 }
 
 func TestAccumulatorFitAllocsFree(t *testing.T) {
 	samples := quadSamples(64)
-	acc := mustAcc(t, 2)
+	var acc Accumulator
 	acc.ReplaceWindow(samples)
-	if _, err := acc.Fit(samples, 2); err != nil {
+	if _, err := acc.Fit(2); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		acc.ReplaceWindow(samples)
-		if _, err := acc.Fit(samples, 2); err != nil {
+		if _, err := acc.Fit(2); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -36,8 +36,6 @@ var (
 type Poly struct {
 	// Coeffs holds the polynomial coefficients in ascending-power order.
 	Coeffs []float64
-	// R2 is the coefficient of determination of the fit on its samples.
-	R2 float64
 	// N is the number of samples used.
 	N int
 }
@@ -119,9 +117,7 @@ func Polynomial(samples []Sample, degree int) (Poly, error) {
 		return Poly{}, err
 	}
 
-	p := Poly{Coeffs: coeffs, N: len(samples)}
-	p.R2 = rSquared(samples, p)
-	return p, nil
+	return Poly{Coeffs: coeffs, N: len(samples)}, nil
 }
 
 // Linear fits y = a + b·x; a convenience wrapper around Polynomial.
@@ -134,10 +130,11 @@ func Quadratic(samples []Sample) (Poly, error) {
 	return Polynomial(samples, 2)
 }
 
-// rSquared computes the coefficient of determination of p on samples.
+// RSquared computes the coefficient of determination of p on samples.
+// Fits do not carry it: no refit reads it, so it is computed on demand.
 //
 // ghlint:allocfree
-func rSquared(samples []Sample, p Poly) float64 {
+func RSquared(samples []Sample, p Poly) float64 {
 	if len(samples) == 0 {
 		return 0
 	}

@@ -23,8 +23,8 @@ func TestLinearExact(t *testing.T) {
 	if !almostEqual(p.Coeffs[0], 3, 1e-9) || !almostEqual(p.Coeffs[1], 2, 1e-9) {
 		t.Errorf("coeffs = %v, want [3 2]", p.Coeffs)
 	}
-	if !almostEqual(p.R2, 1, 1e-12) {
-		t.Errorf("R2 = %v, want 1", p.R2)
+	if r2 := RSquared(samples, p); !almostEqual(r2, 1, 1e-12) {
+		t.Errorf("R2 = %v, want 1", r2)
 	}
 }
 
@@ -63,8 +63,8 @@ func TestQuadraticNoisy(t *testing.T) {
 			t.Errorf("Eval(%v) = %v, want ≈ %v", x, p.Eval(x), truth.Eval(x))
 		}
 	}
-	if p.R2 < 0.99 {
-		t.Errorf("R2 = %v, want ≥ 0.99", p.R2)
+	if r2 := RSquared(samples, p); r2 < 0.99 {
+		t.Errorf("R2 = %v, want ≥ 0.99", r2)
 	}
 }
 
@@ -117,8 +117,8 @@ func TestRSquaredConstantY(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Linear: %v", err)
 	}
-	if !almostEqual(p.R2, 1, 1e-9) {
-		t.Errorf("R2 = %v, want 1", p.R2)
+	if r2 := RSquared(samples, p); !almostEqual(r2, 1, 1e-9) {
+		t.Errorf("R2 = %v, want 1", r2)
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 // Append-only growth uses Append; evictions use ReplaceWindow (the type
 // comment documents why an O(1) subtractive eviction is only ULP-close
 // and therefore not offered). At every step both paths must agree
-// bit-for-bit — same error outcome, same coefficients, same R² — for
-// both the quadratic and linear fits profiledb falls back through.
+// bit-for-bit — same error outcome, same coefficients, and so the same
+// RSquared — for both the quadratic and linear fits profiledb falls back
+// through.
 func FuzzFitIncremental(f *testing.F) {
 	seed := func(samples ...float64) []byte {
 		b := make([]byte, 8*len(samples))
@@ -50,10 +51,7 @@ func FuzzFitIncremental(f *testing.F) {
 			data = data[1:]
 		}
 
-		acc, err := NewAccumulator(2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var acc Accumulator
 		var window []Sample
 		for i := 0; i+16 <= len(data); i += 16 {
 			s := Sample{
@@ -70,7 +68,7 @@ func FuzzFitIncremental(f *testing.F) {
 
 			for _, deg := range []int{1, 2} {
 				want, wantErr := Polynomial(window, deg)
-				got, gotErr := acc.Fit(window, deg)
+				got, gotErr := acc.Fit(deg)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("step %d deg %d: batch err %v, accumulator err %v (window %v)",
 						i/16, deg, wantErr, gotErr, window)
@@ -91,8 +89,8 @@ func FuzzFitIncremental(f *testing.F) {
 							got.Coeffs[k], math.Float64bits(got.Coeffs[k]))
 					}
 				}
-				if math.Float64bits(want.R2) != math.Float64bits(got.R2) {
-					t.Fatalf("step %d deg %d: R² %v vs %v", i/16, deg, want.R2, got.R2)
+				if wr, gr := RSquared(window, want), RSquared(window, got); math.Float64bits(wr) != math.Float64bits(gr) {
+					t.Fatalf("step %d deg %d: R² %v vs %v", i/16, deg, wr, gr)
 				}
 			}
 		}

@@ -300,9 +300,9 @@ func (s Solver) Allocate(ctx Context) ([]float64, error) {
 	}
 	sc := ctx.Scratch
 	models := sc.models
-	for i, g := range ctx.Groups {
+	for i := range ctx.Groups {
 		e := &entries[i]
-		models[i].Count = g.Count
+		models[i].Count = ctx.Groups[i].Count
 		models[i].IdleW = e.IdleW
 		models[i].PeakEffW = e.PeakEffW
 	}
@@ -350,12 +350,12 @@ func dbEntries(ctx Context) ([]profiledb.Entry, error) {
 		sc.ensure(len(ctx.Groups))
 		out = sc.entries
 	}
-	for i, g := range ctx.Groups {
+	for i := range ctx.Groups {
 		w, err := ctx.workloadFor(i)
 		if err != nil {
 			return nil, err
 		}
-		k := profiledb.Key{ServerID: g.Spec.ID, WorkloadID: w.ID}
+		k := profiledb.Key{ServerID: ctx.Groups[i].Spec.ID, WorkloadID: w.ID}
 		if err := ctx.DB.ProjectionInto(k, &out[i]); err != nil {
 			if errors.Is(err, profiledb.ErrNotFound) {
 				return nil, fmt.Errorf("%w: %s", ErrNotProfiled, k)

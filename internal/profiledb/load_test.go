@@ -143,3 +143,36 @@ func TestRestoreFrom(t *testing.T) {
 		t.Error("failed RestoreFrom mutated the database")
 	}
 }
+
+// TestLoadSnapshotWithR2: snapshots written while fits carried an "R2"
+// field (daemon state dirs, journal frames) still recover through both
+// Load and RestoreFrom; the field is ignored and not written back.
+func TestLoadSnapshotWithR2(t *testing.T) {
+	const snap = `{"maxSamples":64,"entries":[{"key":{"serverId":"a","workloadId":"w"},` +
+		`"idleW":50,"peakEffW":200,"samples":[{"X":100,"Y":10},{"X":150,"Y":22}],` +
+		`"curve":{"Coeffs":[1,2],"R2":0.93,"N":2},"refits":3}]}`
+	loaded, err := Load(strings.NewReader(snap))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	restored := New()
+	if err := restored.RestoreFrom(strings.NewReader(snap)); err != nil {
+		t.Fatalf("RestoreFrom: %v", err)
+	}
+	for name, db := range map[string]*DB{"Load": loaded, "RestoreFrom": restored} {
+		e, err := db.Lookup(Key{ServerID: "a", WorkloadID: "w"})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(e.Curve.Coeffs) != 2 || e.Curve.Coeffs[1] != 2 || e.Curve.N != 2 || e.Refits != 3 {
+			t.Errorf("%s: entry %+v", name, e)
+		}
+		var out bytes.Buffer
+		if err := db.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(out.String(), `"R2"`) {
+			t.Errorf("%s: re-saved snapshot still carries R2", name)
+		}
+	}
+}

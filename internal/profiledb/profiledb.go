@@ -275,11 +275,11 @@ func (db *DB) AddFeedback(k Key, samples ...fit.Sample) error {
 		}
 	}
 	// Keep the incremental sums in step with the window. Appends fold in
-	// O(degree) per sample; evictions re-accumulate (the only way to
+	// O(1) per sample; evictions re-accumulate (the only way to
 	// stay bit-identical to a batch fit — see fit.Accumulator).
 	resync := over > 0
 	if e.acc == nil {
-		e.acc, _ = fit.NewAccumulator(2) // degree 2 never errors
+		e.acc = new(fit.Accumulator)
 		resync = true
 	}
 	if resync {
@@ -335,11 +335,11 @@ func fitCurve(samples []fit.Sample) (fit.Poly, error) {
 // ghlint:allocfree
 func refitEntry(e *Entry) (fit.Poly, error) {
 	if len(e.Samples) >= 4 {
-		if p, err := e.acc.Fit(e.Samples, 2); err == nil {
+		if p, err := e.acc.Fit(2); err == nil {
 			return p, nil
 		}
 	}
-	p, err := e.acc.Fit(e.Samples, 1)
+	p, err := e.acc.Fit(1)
 	if err != nil {
 		return fit.Poly{}, fmt.Errorf("%w: %v", ErrFit, err)
 	}

@@ -15,8 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
+	"strconv"
 )
 
 // Class broadly distinguishes processing hardware.
@@ -110,48 +109,9 @@ type PowerState struct {
 // a sleep state, then DVFSLevels frequency steps from the lowest usable
 // frequency up to base frequency. Power at a frequency step follows the
 // classic DVFS scaling P = idle + (peak − idle)·(f/fmax)^e with e ≈ 2.2
-// (voltage scales with frequency, P ∝ f·V²).
+// (voltage scales with frequency, P ∝ f·V²). Each call builds a fresh
+// ladder; a Rack builds its groups' ladders once, in NewRack.
 func (s Spec) States() []PowerState {
-	return append([]PowerState(nil), s.cachedStates()...)
-}
-
-// statesCache memoizes buildStates per Spec (a comparable value type):
-// the state set is a pure function of the spec, and the SPC maps a power
-// target to a state every epoch — rebuilding the ladder (with its
-// per-level Pow and Sprintf) on each enforcement dominated the epoch
-// hot path before caching.
-//
-// The cache is bounded at statesCacheCap entries. The catalog holds six
-// specs and a rack at most three, but experiment sweeps fabricate
-// synthetic specs freely; an unbounded memo would grow for the process
-// lifetime. Past the cap, new specs are served freshly-built ladders —
-// correct, just unmemoized. The bound is approximate under concurrency:
-// racing first-time builders can overshoot by at most the number of
-// racing goroutines.
-var statesCache sync.Map // Spec → []PowerState
-
-// statesCacheCap bounds statesCache (see its doc).
-const statesCacheCap = 64
-
-// statesCacheLen counts statesCache entries (approximately, see
-// statesCache's doc).
-var statesCacheLen atomic.Int64
-
-// cachedStates returns the memoized state set. The returned slice is
-// shared: callers must not mutate it (States hands external callers a
-// copy).
-//
-// ghlint:allocfree
-func (s Spec) cachedStates() []PowerState {
-	if v, ok := statesCache.Load(s); ok { //lint:ghlint ignore allocfree the Spec key boxes into sync.Map.Load — the lookup's one budgeted allocation
-		return v.([]PowerState)
-	}
-	return s.buildStates() //lint:ghlint ignore allocfree cold first build per Spec, memoized below the cache cap
-}
-
-// buildStates computes the ladder and memoizes it while the cache has
-// room.
-func (s Spec) buildStates() []PowerState {
 	const sleepW = 4.0
 	const dvfsExp = 2.2
 	states := make([]PowerState, 0, s.DVFSLevels+1)
@@ -163,44 +123,14 @@ func (s Spec) buildStates() []PowerState {
 		f := s.BaseFreqMHz * frac
 		w := s.IdleW + s.DynamicRangeW()*math.Pow(frac, dvfsExp)
 		states = append(states, PowerState{
-			Name:    fmt.Sprintf("freq-%.0fMHz", f),
+			// %.0f's text (for f < 2^63) without fmt's slow exact
+			// decimal path: NewRack builds every group's ladder.
+			Name:    "freq-" + strconv.Itoa(int(math.RoundToEven(f))) + "MHz",
 			FreqMHz: f,
 			Watts:   w,
 		})
 	}
-	if statesCacheLen.Load() >= statesCacheCap {
-		return states
-	}
-	if v, loaded := statesCache.LoadOrStore(s, states); loaded {
-		return v.([]PowerState)
-	}
-	statesCacheLen.Add(1)
 	return states
-}
-
-// StateForPower implements the paper's linear mapping from a power target
-// to a position in S_N (§IV-B.4): targets at or above peak select the
-// highest state, targets below the lowest running state select sleep, and
-// anything between is linearly scaled to a state index.
-//
-// ghlint:allocfree
-func (s Spec) StateForPower(targetW float64) PowerState {
-	states := s.cachedStates()
-	lo := states[1].Watts // lowest running state
-	hi := states[len(states)-1].Watts
-	switch {
-	case targetW < lo:
-		return states[0]
-	case targetW >= hi:
-		return states[len(states)-1]
-	}
-	// Linear scale into the running states [1, len-1].
-	frac := (targetW - lo) / (hi - lo)
-	idx := 1 + int(math.Floor(frac*float64(len(states)-2)))
-	if idx > len(states)-1 {
-		idx = len(states) - 1
-	}
-	return states[idx]
 }
 
 // Catalog IDs for the Table II servers.
@@ -251,6 +181,9 @@ type Group struct {
 type Rack struct {
 	name   string
 	groups []Group
+	// states[i] is groups[i].Spec.States(), built once by NewRack: the
+	// SPC maps a power target to a state for every group every epoch.
+	states [][]PowerState
 }
 
 var (
@@ -285,7 +218,11 @@ func NewRack(name string, groups ...Group) (*Rack, error) {
 	}
 	// Stable ordering by spec ID keeps PAR vectors deterministic.
 	sort.Slice(gs, func(i, j int) bool { return gs[i].Spec.ID < gs[j].Spec.ID })
-	return &Rack{name: name, groups: gs}, nil
+	states := make([][]PowerState, len(gs))
+	for i := range gs {
+		states[i] = gs[i].Spec.States()
+	}
+	return &Rack{name: name, groups: gs, states: states}, nil
 }
 
 // Name returns the rack's label.
@@ -303,11 +240,38 @@ func (r *Rack) Groups() []Group {
 // ghlint:allocfree
 func (r *Rack) NumGroups() int { return len(r.groups) }
 
-// Group returns the i'th group by value, letting per-epoch paths iterate
-// the rack without the defensive copy Groups makes.
+// Group returns the i'th group in place, letting per-epoch paths read
+// the rack without the defensive copy Groups makes. The rack is
+// immutable after NewRack: callers must not write through the pointer.
 //
 // ghlint:allocfree
-func (r *Rack) Group(i int) Group { return r.groups[i] }
+func (r *Rack) Group(i int) *Group { return &r.groups[i] }
+
+// StateForPower implements the paper's linear mapping from a per-server
+// power target in group i to a position in its S_N (§IV-B.4): targets at
+// or above peak select the highest state, targets below the lowest
+// running state select sleep, and anything between is linearly scaled to
+// a state index.
+//
+// ghlint:allocfree
+func (r *Rack) StateForPower(i int, targetW float64) PowerState {
+	states := r.states[i]
+	lo := states[1].Watts // lowest running state
+	hi := states[len(states)-1].Watts
+	switch {
+	case targetW < lo:
+		return states[0]
+	case targetW >= hi:
+		return states[len(states)-1]
+	}
+	// Linear scale into the running states [1, len-1].
+	frac := (targetW - lo) / (hi - lo)
+	idx := 1 + int(math.Floor(frac*float64(len(states)-2)))
+	if idx > len(states)-1 {
+		idx = len(states) - 1
+	}
+	return states[idx]
+}
 
 // Servers reports the total server count.
 func (r *Rack) Servers() int {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -91,6 +93,19 @@ func TestValidate(t *testing.T) {
 func TestStatesOrderedAndBounded(t *testing.T) {
 	for _, s := range Catalog() {
 		states := s.States()
+		// The rack's ladder is the spec's.
+		r, err := NewRack("one", Group{s, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(r.states[0], states) {
+			t.Errorf("%s: rack ladder %v, want %v", s.ID, r.states[0], states)
+		}
+		for _, st := range states[1:] {
+			if want := fmt.Sprintf("freq-%.0fMHz", st.FreqMHz); st.Name != want {
+				t.Errorf("%s: state name %q, want %q", s.ID, st.Name, want)
+			}
+		}
 		if len(states) != s.DVFSLevels+1 {
 			t.Errorf("%s: %d states, want %d", s.ID, len(states), s.DVFSLevels+1)
 		}
@@ -108,7 +123,8 @@ func TestStatesOrderedAndBounded(t *testing.T) {
 }
 
 func TestStateForPower(t *testing.T) {
-	s, err := Lookup(XeonE52620)
+	s := mustSpec(t, XeonE52620)
+	r, err := NewRack("x", Group{s, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +140,7 @@ func TestStateForPower(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := s.StateForPower(tt.targetW)
+			got := r.StateForPower(0, tt.targetW)
 			if got.Name != tt.want {
 				t.Errorf("StateForPower(%v) = %q, want %q", tt.targetW, got.Name, tt.want)
 			}
@@ -133,7 +149,7 @@ func TestStateForPower(t *testing.T) {
 	// Mid-range mapping must pick a state whose power is ≤ target + one
 	// step (the enforcer never overshoots its budget by more than a step).
 	for w := states[1].Watts; w < s.PeakW; w += 5 {
-		st := s.StateForPower(w)
+		st := r.StateForPower(0, w)
 		if st.Watts > w+s.DynamicRangeW()/float64(s.DVFSLevels-1)+1e-9 {
 			t.Errorf("StateForPower(%v) picked %v W", w, st.Watts)
 		}
@@ -143,14 +159,21 @@ func TestStateForPower(t *testing.T) {
 // Property: StateForPower is monotone — more power never selects a
 // lower-power state.
 func TestQuickStateForPowerMonotone(t *testing.T) {
-	specs := Catalog()
+	var racks []*Rack
+	for _, s := range Catalog() {
+		r, err := NewRack(s.ID, Group{s, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		racks = append(racks, r)
+	}
 	f := func(specIdx uint8, w1Raw, w2Raw uint16) bool {
-		s := specs[int(specIdx)%len(specs)]
+		r := racks[int(specIdx)%len(racks)]
 		w1, w2 := float64(w1Raw%500), float64(w2Raw%500)
 		if w1 > w2 {
 			w1, w2 = w2, w1
 		}
-		return s.StateForPower(w1).Watts <= s.StateForPower(w2).Watts+1e-9
+		return r.StateForPower(0, w1).Watts <= r.StateForPower(0, w2).Watts+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -249,53 +272,5 @@ func TestClassString(t *testing.T) {
 	}
 	if Class(7).String() != "Class(7)" {
 		t.Errorf("unknown = %v", Class(7))
-	}
-}
-
-// TestStatesCacheBounded pins the statesCache eviction contract: the
-// memo never exceeds statesCacheCap entries, and specs served past the
-// cap still get correct (just unmemoized) state ladders.
-func TestStatesCacheBounded(t *testing.T) {
-	base, err := Lookup(XeonE52620)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Churn far more synthetic specs than the cap holds, as a fleet-gen
-	// sweep would.
-	var over Spec
-	for i := 0; i < statesCacheCap+16; i++ {
-		s := base
-		s.PeakW = base.PeakW + float64(i) // distinct comparable key per spec
-		s.StateForPower(100)
-		over = s
-	}
-	var n int
-	statesCache.Range(func(_, _ any) bool { n++; return true })
-	if n > statesCacheCap {
-		t.Fatalf("statesCache holds %d entries, cap is %d", n, statesCacheCap)
-	}
-	if got := statesCacheLen.Load(); got > statesCacheCap {
-		t.Fatalf("statesCacheLen = %d, cap is %d", got, statesCacheCap)
-	}
-	// A spec past the cap is served a freshly-built ladder identical to
-	// the memoized shape: same length, monotone watts, sleep first.
-	states := over.States()
-	if len(states) != over.DVFSLevels+1 {
-		t.Fatalf("over-cap spec: %d states, want %d", len(states), over.DVFSLevels+1)
-	}
-	if states[0].Name != "sleep" {
-		t.Fatalf("over-cap spec: first state %q, want sleep", states[0].Name)
-	}
-	for i := 1; i < len(states); i++ {
-		if states[i].Watts < states[i-1].Watts {
-			t.Fatalf("over-cap spec: watts not monotone at %d: %v < %v", i, states[i].Watts, states[i-1].Watts)
-		}
-	}
-	// Determinism: two uncached builds agree.
-	again := over.States()
-	for i := range states {
-		if states[i] != again[i] {
-			t.Fatalf("over-cap spec: rebuild differs at state %d: %+v vs %+v", i, states[i], again[i])
-		}
 	}
 }

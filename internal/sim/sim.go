@@ -315,7 +315,7 @@ func (r *Result) mean(f func(EpochResult) float64, keep func(EpochResult) bool) 
 
 // prober implements core.Prober over the hidden ground truth.
 type prober struct {
-	intensity     float64
+	load          workload.Load
 	samples       int
 	trainingNoise float64
 	rng           *rand.Rand
@@ -327,12 +327,13 @@ func (p *prober) TrainingRun(spec server.Spec, w workload.Workload) (core.Traini
 	if p.samples < 2 {
 		return core.TrainingResult{}, fmt.Errorf("sim: profile samples %d", p.samples)
 	}
-	peakEff := workload.PeakEffWAt(spec, w, p.intensity)
+	pl := workload.NewPlant(spec, w)
+	peakEff := pl.PeakEffW(p.load)
 	res := core.TrainingResult{Samples: make([]fit.Sample, 0, p.samples)}
 	for i := 0; i < p.samples; i++ {
 		frac := float64(i) / float64(p.samples-1)
 		pw := spec.IdleW + 1 + frac*(peakEff-spec.IdleW-1)
-		s := measureAt(spec, w, pw, p.intensity, p.trainingNoise, p.rng)
+		s := measureAt(pw, pl.Perf(pw, p.load), p.trainingNoise, pl.Noise(), p.rng)
 		res.Samples = append(res.Samples, s)
 		if s.X > res.PeakEffW {
 			res.PeakEffW = s.X
@@ -341,12 +342,12 @@ func (p *prober) TrainingRun(spec server.Spec, w workload.Workload) (core.Traini
 	return res, nil
 }
 
-// measureAt is one noisy observation of the intensity-aware truth. The
-// noise factor scales both axes: short training windows blur the power
-// meter as much as the throughput counter.
-func measureAt(spec server.Spec, w workload.Workload, pw, intensity, noiseFactor float64, rng *rand.Rand) fit.Sample {
-	perf := workload.PerfAt(spec, w, pw, intensity)
-	perfNoisy := perf * (1 + noiseFactor*w.Noise()*rng.NormFloat64())
+// measureAt is one noisy observation at power pw of a surface whose
+// truth there is perf, with the workload's relative noise σ. The noise
+// factor scales both axes: short training windows blur the power meter
+// as much as the throughput counter.
+func measureAt(pw, perf, noiseFactor, noise float64, rng *rand.Rand) fit.Sample {
+	perfNoisy := perf * (1 + noiseFactor*noise*rng.NormFloat64())
 	if perfNoisy < 0 {
 		perfNoisy = 0
 	}
@@ -370,12 +371,13 @@ type Session struct {
 	rng *rand.Rand
 	// bank is the session-owned rack bank; nil when cfg.Bank supplied an
 	// external store. store is whichever of the two the controller sees.
-	bank         *battery.Bank
-	store        battery.Store
-	pb           *prober
-	groups       []server.Group
-	ctrl         *core.Controller
-	tryIntensity float64
+	bank   *battery.Bank
+	store  battery.Store
+	pb     *prober
+	groups []server.Group
+	// plants[i] is group i's response surface under its workload.
+	plants []workload.Plant
+	ctrl   *core.Controller
 	// rackID and traceID fingerprint exported state (see identify).
 	rackID, traceID string
 
@@ -423,17 +425,20 @@ func NewSession(cfg Config) (*Session, error) {
 		intensityScale: 1,
 	}
 	s.rackID, s.traceID = identify(c.Rack, c.Solar)
+	s.plants = make([]workload.Plant, len(s.groups))
+	for i := range s.groups {
+		s.plants[i] = workload.NewPlant(s.groups[i].Spec, c.GroupWorkloads[i])
+	}
 	s.pb = &prober{
-		intensity:     c.Intensity(0),
+		load:          workload.NewLoad(c.Intensity(0)),
 		samples:       c.ProfileSamples,
 		trainingNoise: c.TrainingNoise,
 		rng:           rng,
 	}
 	// The Manual policy trials allocations on the live (simulated)
 	// system at the current intensity.
-	s.tryIntensity = c.Intensity(0)
 	tryAllocation := func(supplyW float64, fracs []float64) (float64, error) {
-		return truePerf(s.groups, c.GroupWorkloads, supplyW, fracs, s.tryIntensity), nil
+		return truePerf(s.groups, s.plants, supplyW, fracs, s.pb.load), nil
 	}
 	coreCfg := core.Config{
 		Rack:          c.Rack,
@@ -456,7 +461,7 @@ func NewSession(cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	s.ctrl = ctrl
-	s.prevDemand = rackDemandW(s.groups, c.GroupWorkloads, c.Intensity(0))
+	s.prevDemand = rackDemandW(s.groups, s.plants, s.pb.load)
 	return s, nil
 }
 
@@ -556,8 +561,8 @@ func (s *Session) step(renewable float64) (EpochResult, error) {
 			intensity = 0.05
 		}
 	}
-	s.tryIntensity = intensity
-	s.pb.intensity = intensity
+	load := workload.NewLoad(intensity)
+	s.pb.load = load
 
 	dec, err := s.ctrl.Step(core.Observation{RenewableW: renewable, DemandW: s.prevDemand}, c.GroupWorkloads)
 	if err != nil {
@@ -570,7 +575,7 @@ func (s *Session) step(renewable float64) (EpochResult, error) {
 		Case:        dec.Case,
 		Intensity:   intensity,
 		RenewableW:  renewable,
-		DemandW:     rackDemandW(s.groups, c.GroupWorkloads, intensity),
+		DemandW:     rackDemandW(s.groups, s.plants, load),
 		SupplyW:     dec.SupplyW,
 		GridW:       dec.Execution.GridW,
 		BatteryOutW: dec.Execution.BatteryToLoadW,
@@ -585,21 +590,26 @@ func (s *Session) step(renewable float64) (EpochResult, error) {
 	}
 	clear(s.fbMap)
 	feedback := s.fbMap
-	for i, g := range s.groups {
-		gw := c.GroupWorkloads[i]
+	for i := range s.groups {
+		count := float64(s.groups[i].Count)
+		pl := &s.plants[i]
 		// In a Case A epoch servers are uncapped and draw their
 		// natural (saturation) power; under scarcity the SPC caps
 		// each server at its PAR share.
 		perServer := 0.0
 		switch {
 		case dec.Unconstrained:
-			perServer = workload.PeakEffWAt(g.Spec, gw, intensity)
+			perServer = pl.PeakEffW(load)
 		case dec.SupplyW > 0:
-			perServer = dec.Fractions[i] * dec.SupplyW / float64(g.Count)
+			perServer = dec.Fractions[i] * dec.SupplyW / count
 		}
-		usedPerServer := workload.UsedPowerWAt(g.Spec, gw, perServer, intensity)
-		er.Perf += float64(g.Count) * workload.PerfAt(g.Spec, gw, perServer, intensity)
-		er.UsedW += float64(g.Count) * usedPerServer
+		usedPerServer := pl.UsedPowerW(perServer, load)
+		// The truth at the budget is also the truth at the metered
+		// draw: the draw falls short of the budget only where it is
+		// capped at the effective peak, past which the surface is flat.
+		perf := pl.Perf(perServer, load)
+		er.Perf += count * perf
+		er.UsedW += count * usedPerServer
 		// The power meter reads the server's actual draw (used
 		// power), not the budget it was granted: in abundant
 		// epochs that is the workload's true saturation point,
@@ -607,7 +617,7 @@ func (s *Session) step(renewable float64) (EpochResult, error) {
 		if usedPerServer > 0 {
 			fs := s.fbBufs[i][:0]
 			for smp := 0; smp < c.FeedbackSamples; smp++ {
-				fs = append(fs, measureAt(g.Spec, gw, usedPerServer, intensity, 1, s.rng))
+				fs = append(fs, measureAt(usedPerServer, perf, 1, pl.Noise(), s.rng))
 			}
 			s.fbBufs[i] = fs
 			feedback[i] = fs
@@ -655,24 +665,24 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // truePerf evaluates a PAR vector on the hidden truth.
-func truePerf(groups []server.Group, groupWs []workload.Workload, supplyW float64, fracs []float64, intensity float64) float64 {
+func truePerf(groups []server.Group, plants []workload.Plant, supplyW float64, fracs []float64, l workload.Load) float64 {
 	var total float64
-	for i, g := range groups {
+	for i := range groups {
 		if i >= len(fracs) {
 			break
 		}
-		perServer := fracs[i] * supplyW / float64(g.Count)
-		total += float64(g.Count) * workload.PerfAt(g.Spec, groupWs[i], perServer, intensity)
+		count := float64(groups[i].Count)
+		total += count * plants[i].Perf(fracs[i]*supplyW/count, l)
 	}
 	return total
 }
 
-// rackDemandW is the rack's desired power at the given intensity: what an
+// rackDemandW is the rack's desired power under load l: what an
 // ondemand-governed rack would draw with unconstrained supply.
-func rackDemandW(groups []server.Group, groupWs []workload.Workload, intensity float64) float64 {
+func rackDemandW(groups []server.Group, plants []workload.Plant, l workload.Load) float64 {
 	var d float64
-	for i, g := range groups {
-		d += float64(g.Count) * workload.PeakEffWAt(g.Spec, groupWs[i], intensity)
+	for i := range groups {
+		d += float64(groups[i].Count) * plants[i].PeakEffW(l)
 	}
 	return d
 }

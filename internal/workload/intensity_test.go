@@ -77,3 +77,22 @@ func TestQuickPerfAtBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: wherever a server draws power, the truth at its metered draw
+// has the bits of the truth at its budget (the draw is capped only past
+// the effective peak, where the surface is flat). The simulator reuses
+// one evaluation for both.
+func TestQuickPerfAtUsedPowerMatchesBudget(t *testing.T) {
+	specs := server.Catalog()
+	wls := Catalog()
+	f := func(si, wi uint8, pRaw uint16, iRaw uint8) bool {
+		p := NewPlant(specs[int(si)%len(specs)], wls[int(wi)%len(wls)])
+		l := NewLoad((float64(iRaw%100) + 1) / 100)
+		budget := float64(pRaw%6000) / 10
+		used := p.UsedPowerW(budget, l)
+		return used == 0 || math.Float64bits(p.Perf(used, l)) == math.Float64bits(p.Perf(budget, l))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}

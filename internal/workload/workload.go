@@ -256,41 +256,18 @@ func PerfMax(s server.Spec, w Workload) float64 {
 // PeakEffW returns the effective peak power draw of workload w on server
 // s: the paper's "server power demand" for that workload, which can sit
 // well below the nameplate peak for low-utilization services.
-func PeakEffW(s server.Spec, w Workload) float64 {
-	return s.IdleW + w.util*s.DynamicRangeW()
-}
+func PeakEffW(s server.Spec, w Workload) float64 { return PeakEffWAt(s, w, 1) }
 
 // Perf evaluates the hidden ground-truth response surface: throughput of
 // workload w on one server s drawing allocated power powerW.
-func Perf(s server.Spec, w Workload, powerW float64) float64 {
-	if powerW < s.IdleW {
-		return 0
-	}
-	max := PerfMax(s, w)
-	if max == 0 {
-		return 0
-	}
-	peakEff := PeakEffW(s, w)
-	if powerW >= peakEff {
-		return max
-	}
-	x := (powerW - s.IdleW) / (peakEff - s.IdleW)
-	return max * math.Pow(x, w.gamma)
-}
+func Perf(s server.Spec, w Workload, powerW float64) float64 { return PerfAt(s, w, powerW, 1) }
 
 // UsedPowerW returns the power the server actually consumes when
 // allocated powerW while running w: zero below idle (the server cannot
 // start), capped at the workload's effective peak above it. The surplus
 // (allocated − used) is the waste EPU charges against a policy.
 func UsedPowerW(s server.Spec, w Workload, powerW float64) float64 {
-	if powerW < s.IdleW {
-		return 0
-	}
-	peakEff := PeakEffW(s, w)
-	if powerW > peakEff {
-		return peakEff
-	}
-	return powerW
+	return UsedPowerWAt(s, w, powerW, 1)
 }
 
 // Sample is one profiled (power, performance) observation as the Monitor
