@@ -305,7 +305,7 @@ func (c *Controller) Step(obs Observation, groupWs []workload.Workload) (Decisio
 	switch {
 	case planned.Case == power.CaseA:
 		d.Unconstrained = true
-		d.Fractions = c.demandShares(groupWs) //lint:ghlint ignore allocfree Case A epochs are unconstrained — no capping runs, so the share vector is off the hot path
+		d.Fractions = c.demandShares(groupWs)
 	case predictedSupply > 0:
 		fractions, err := c.allocate(groupWs, predictedSupply)
 		if err != nil {
@@ -397,22 +397,28 @@ func (c *Controller) ensureProfiled(groupWs []workload.Workload) (bool, error) {
 }
 
 // demandShares returns each group's share of the rack's believed demand,
-// from database ranges when profiled, otherwise nameplate peaks.
+// from database ranges when profiled, otherwise nameplate peaks. It
+// reads the projections through the reused bidEntry, as
+// BelievedDemandW does.
+//
+// ghlint:allocfree
 func (c *Controller) demandShares(groupWs []workload.Workload) []float64 {
 	groups := c.groups
-	demands := make([]float64, len(groups))
+	demands := make([]float64, len(groups)) //lint:ghlint ignore allocfree the returned share vector is the Case A epoch's one caller-owned allocation (Decision.Fractions)
 	var total float64
 	for i := range groups {
 		g := &groups[i]
 		perServer := g.Spec.PeakW
-		if e, err := c.cfg.DB.Projection(profiledb.Key{ServerID: g.Spec.ID, WorkloadID: groupWs[i].ID}); err == nil {
-			perServer = e.PeakEffW
+		k := profiledb.Key{ServerID: g.Spec.ID, WorkloadID: groupWs[i].ID}
+		if err := c.cfg.DB.ProjectionInto(k, &c.bidEntry); err == nil {
+			perServer = c.bidEntry.PeakEffW
 		}
 		demands[i] = float64(g.Count) * perServer
 		total += demands[i]
 	}
 	if total == 0 {
-		return make([]float64, len(groups))
+		clear(demands)
+		return demands
 	}
 	for i := range demands {
 		demands[i] /= total

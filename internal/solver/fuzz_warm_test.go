@@ -8,12 +8,15 @@ import (
 
 // FuzzWarmOptimize is the differential proof behind Warm: a seed draws
 // zero to four clamped-quadratic group models (an occasional malformed
-// one; an occasional one quantized into plateaus where totals tie, or
+// one; an occasional one quantized into plateaus where totals tie,
 // returning NaN or ±Inf on a band of powers where the 3-group scan must
-// not prune), and the remaining inputs pick the supply, grid step and
-// refinement depth. Warm.Optimize must match the reference Optimize bit
-// for bit — fractions, predicted perf, Evaluations and error outcome —
-// on a fresh Warm, on a repeat of the same input through the same Warm
+// not prune, or left unclamped for the solver's own clamp; an
+// occasional one whose IdleW or PeakEffW is exactly the per-server
+// power of a grid value, residual or 1−f₀, a band edge), and the
+// remaining inputs pick the supply, grid step and refinement depth.
+// Warm.Optimize must match the reference Optimize bit for bit —
+// fractions, predicted perf, Evaluations and error outcome — on a
+// fresh Warm, on a repeat of the same input through the same Warm
 // (reused scratch), and on a Warm last used with a different grid step
 // (a residual-index rebuild).
 //
@@ -38,13 +41,24 @@ func FuzzWarmOptimize(f *testing.F) {
 	f.Add(int64(14), uint8(3), 700.0, 0.01, int8(0))  // group 1 on plateaus
 	f.Add(int64(31), uint8(3), 700.0, 0.01, int8(0))  // group 1 NaN on a band
 	f.Add(int64(115), uint8(3), 700.0, 0.01, int8(0)) // group 2 +Inf from 0 W
+	f.Add(int64(30), uint8(3), 700.0, 0.01, int8(-1)) // group 0 peak on a grid value
+	f.Add(int64(23), uint8(3), 700.0, 0.01, int8(0))  // groups 0 (unclamped) and 1 idle on grid values
+	f.Add(int64(8), uint8(3), 900.0, 0.01, int8(-1))  // group 2 idle on a residual, unclamped
+	f.Add(int64(38), uint8(3), 900.0, 0.01, int8(0))  // group 2 peak on a residual
+	f.Add(int64(17), uint8(2), 450.0, 0.07, int8(1))  // group 1 peak on a 1−f₀
+	f.Add(int64(23), uint8(2), 450.0, 0.07, int8(-1)) // group 1 idle on a 1−f₀
+	f.Add(int64(23), uint8(1), 300.0, 0.01, int8(0))  // one unclamped group, idle on a grid value
+	f.Add(int64(4), uint8(1), 300.0, 0.01, int8(0))   // one unclamped group
 
 	f.Fuzz(func(t *testing.T, seed int64, groups uint8, supply, step float64, passes int8) {
 		if step > 0 && step < 0.005 {
 			step = 0.005
 		}
 		rng := rand.New(rand.NewSource(seed))
-		models := make([]GroupModel, groups%5)
+		n := int(groups % 5)
+		models := make([]GroupModel, n)
+		gridStep := Options{GridStep: step}.withDefaults().GridStep
+		steps := int(1/gridStep + 0.5)
 		for g := range models {
 			idle := 15 + 40*rng.Float64()
 			peak := idle + 20 + 150*rng.Float64()
@@ -67,6 +81,30 @@ func FuzzWarmOptimize(f *testing.F) {
 				hi := lo + 5 + 60*rng.Float64()
 				v := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
 				models[g] = bandModel(models[g], lo, hi, v)
+			case 4:
+				models[g] = rawModel(models[g].Count, idle, peak, coeffs)
+			case 5, 6:
+				// A band edge on a power the scan tabulates for this
+				// group: a grid value's, or for the last group of two
+				// 1−f₀'s and of three a residual's.
+				i := rng.Intn(steps + 1)
+				fr := float64(i) * gridStep
+				switch {
+				case n == 2 && g == 1:
+					fr = 1 - fr
+				case n == 3 && g == 2:
+					fr = residual(fr, float64(rng.Intn(steps-i+1))*gridStep)
+				}
+				count := models[g].Count
+				edge := fr * supply / float64(count)
+				idle, peak := edge, edge+20+150*rng.Float64()
+				if rng.Intn(2) == 0 {
+					idle, peak = edge*(0.2+0.6*rng.Float64()), edge
+				}
+				models[g] = curveModel(count, idle, peak, coeffs)
+				if rng.Intn(2) == 0 {
+					models[g] = rawModel(count, idle, peak, coeffs)
+				}
 			}
 		}
 		o := Options{GridStep: step, RefinePasses: int(passes)}

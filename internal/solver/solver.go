@@ -35,14 +35,16 @@ type GroupModel struct {
 	// workload: allocations above it are wasted.
 	PeakEffW float64
 	// Perf projects one server's throughput from its allocated power.
-	// It must honor the clamping semantics (0 below IdleW, constant
-	// above PeakEffW); profiledb.Entry.Predict does. It must also be a
-	// deterministic function of its argument: Warm tabulates groups
-	// 0..n-2 once per grid value and the last of three groups once per
-	// distinct residual fraction, reusing one call's result for every
-	// simplex point with that argument. The allocfree
-	// annotation makes the field a verified contract: the solver's hot
-	// loops call Perf millions of times per epoch, so every binding is
+	// The solver applies Eq. 8's clamp itself: a server below IdleW
+	// contributes zero and one above PeakEffW is evaluated at PeakEffW,
+	// so Perf is only called on [IdleW, PeakEffW] (or on NaN, when an
+	// infinite supply meets a zero fraction) and what it returns outside
+	// that band is never read. It must be a deterministic function of
+	// its argument: Warm evaluates each group once per distinct
+	// per-server power inside the band and once at PeakEffW, reusing one
+	// call's result for every simplex point with that argument. The
+	// allocfree annotation makes the field a verified contract: the
+	// solver's hot loops call Perf on every solve, so every binding is
 	// statically checked to be allocation-free.
 	//
 	// ghlint:allocfree
@@ -67,7 +69,7 @@ var (
 	ErrTooManyGroups = errors.New("solver: more than 3 groups")
 	// ErrBadModel is returned for invalid group models.
 	ErrBadModel = errors.New("solver: bad group model")
-	// ErrBadSupply is returned for non-positive supply.
+	// ErrBadSupply is returned for a non-positive or NaN supply.
 	ErrBadSupply = errors.New("solver: supply must be positive")
 )
 
@@ -106,11 +108,14 @@ func validate(models []GroupModel, supplyW float64) error {
 	if len(models) > 3 {
 		return fmt.Errorf("%w: %d", ErrTooManyGroups, len(models))
 	}
-	if supplyW <= 0 {
+	// Negated comparisons reject NaN, which every comparison fails; the
+	// band search of Warm needs ordered numbers. An infinite IdleW fails
+	// the second test, as no PeakEffW exceeds it.
+	if !(supplyW > 0) {
 		return fmt.Errorf("%w: %v", ErrBadSupply, supplyW)
 	}
 	for i, m := range models {
-		if m.Count < 1 || m.IdleW <= 0 || m.PeakEffW <= m.IdleW || m.Perf == nil {
+		if m.Count < 1 || !(m.IdleW > 0) || !(m.PeakEffW > m.IdleW) || m.Perf == nil {
 			return fmt.Errorf("%w: group %d: %+v", ErrBadModel, i, m)
 		}
 	}
@@ -154,11 +159,26 @@ type search struct {
 func (s *search) objective(fracs []float64) float64 {
 	s.evals++
 	var total float64
-	for i, m := range s.models {
+	for i := range s.models {
+		m := &s.models[i]
 		perServer := fracs[i] * s.supplyW / float64(m.Count)
-		total += float64(m.Count) * m.Perf(perServer)
+		total += float64(m.Count) * clampedPerf(m, perServer)
 	}
 	return total
+}
+
+// clampedPerf is one server's throughput at perServer watts under
+// Eq. 8's clamp: zero below idle, flat from the effective peak on.
+//
+// ghlint:allocfree
+func clampedPerf(m *GroupModel, perServer float64) float64 {
+	if perServer < m.IdleW {
+		return 0
+	}
+	if m.PeakEffW < perServer {
+		perServer = m.PeakEffW
+	}
+	return m.Perf(perServer)
 }
 
 // gridSearch scans the simplex at the given step.

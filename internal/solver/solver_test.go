@@ -43,11 +43,18 @@ func TestOptimizeValidation(t *testing.T) {
 		{"zero count", []GroupModel{{Count: 0, IdleW: 10, PeakEffW: 20, Perf: good.Perf}}, 100, ErrBadModel},
 		{"nil perf", []GroupModel{{Count: 1, IdleW: 10, PeakEffW: 20}}, 100, ErrBadModel},
 		{"inverted range", []GroupModel{{Count: 1, IdleW: 30, PeakEffW: 20, Perf: good.Perf}}, 100, ErrBadModel},
+		{"nan supply", []GroupModel{good}, math.NaN(), ErrBadSupply},
+		{"nan idle", []GroupModel{{Count: 1, IdleW: math.NaN(), PeakEffW: 20, Perf: good.Perf}}, 100, ErrBadModel},
+		{"nan peak", []GroupModel{{Count: 1, IdleW: 10, PeakEffW: math.NaN(), Perf: good.Perf}}, 100, ErrBadModel},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Optimize(tt.models, tt.supply, Options{}); !errors.Is(err, tt.wantErr) {
 				t.Errorf("err = %v, want %v", err, tt.wantErr)
+			}
+			var w Warm
+			if _, err := w.Optimize(tt.models, tt.supply, Options{}); !errors.Is(err, tt.wantErr) {
+				t.Errorf("warm err = %v, want %v", err, tt.wantErr)
 			}
 		})
 	}

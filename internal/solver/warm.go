@@ -4,7 +4,7 @@ import "math"
 
 // Warm is a reusable solver context for the per-epoch hot path. It is
 // bit-for-bit equivalent to Optimize — same Fractions, PredictedPerf,
-// Evaluations, and errors for every input — but amortizes work three
+// Evaluations, and errors for every input — but amortizes work four
 // ways:
 //
 //   - Per-group grid tables: groups 0..n-2 have their objective
@@ -17,11 +17,15 @@ import "math"
 //     points (420 bit patterns for the 5 151 points of the 1 % grid).
 //     The Warm indexes every point to its distinct residual once per
 //     step and evaluates the group once per distinct residual per solve.
+//   - Band-limited tables: every table, the last group's included, is
+//     filled by fillBand, which calls Perf only where a server's power
+//     lies between IdleW and PeakEffW and fills the rest with Eq. 8's
+//     clamped values.
 //   - A pruned 3-group scan: each row visits only the window of points
 //     whose upper bound (prefix and suffix maxima of the tables) still
 //     strictly beats the best total so far; see gridSearchFast.
 //
-// Every table entry is the reference objective's own expression on the
+// Every table entry is the reference objective's own value on the
 // reference's own argument, and the scan adds the entries in the
 // reference's order, so every candidate's total is bit-identical. The
 // grid's tie-breaking is load-bearing: the scan takes the first strict
@@ -40,18 +44,22 @@ type Warm struct {
 	tables   [][]float64
 	tableBuf []float64
 	// Residual table of the 3-group scan: resIdx maps each grid point
-	// (row-major) to its distinct residual, resBits holds the distinct
-	// residuals' bit patterns in ascending order, and resVal their
-	// objective contributions for the current solve. resStep is the
-	// grid step the index was built for (0, never a valid step, until
-	// the first build).
+	// (row-major) to its distinct residual, and resFr holds the
+	// distinct residuals in ascending order. resStep is the grid step
+	// the index was built for (0, never a valid step, until the first
+	// build).
 	resStep float64
 	resIdx  []int32
-	resBits []uint64
-	resVal  []float64
+	resFr   []float64
+	// lastVal holds the last group's objective contributions for the
+	// current solve: by lastFr with two groups, by residual rank with
+	// three. lastFr[k] is the 2-group scan's last fraction 1−f₀ in row
+	// steps−k, so it rises with k.
+	lastVal []float64
+	lastFr  []float64
 	// Bounds of the 3-group scan: pre1 and suf1 are the prefix and
 	// suffix maxima of group 1's table, pre2 the prefix maximum of
-	// resVal by residual rank.
+	// lastVal by residual rank.
 	pre1     []float64
 	suf1     []float64
 	pre2     []float64
@@ -88,19 +96,90 @@ func (w *Warm) solve(models []GroupModel, supplyW float64, o Options) Result {
 	}
 }
 
-// groupValue is one group's objective contribution at fraction f —
-// the exact expression the reference objective evaluates per point.
+// fillBand sets dst[k] to m's objective contribution at fraction f_k,
+// the reference's float64(Count)·clampedPerf(m, f_k·supplyW/Count),
+// and calls Perf only where clampedPerf would: inside the band, plus
+// once at PeakEffW when some point lies above it. f_k is fr[k], or the
+// grid value float64(k)·step when fr is nil, and must never fall as k
+// rises. Entries below the band are +0, the reference's Count·0.
 //
 // ghlint:allocfree
-func groupValue(m *GroupModel, f, supplyW float64) float64 {
-	perServer := f * supplyW / float64(m.Count)
-	return float64(m.Count) * m.Perf(perServer)
+func fillBand(dst, fr []float64, step float64, m *GroupModel, supplyW float64) {
+	count := float64(m.Count)
+	lo, hi := bandEdges(fr, step, len(dst), m, supplyW)
+	clear(dst[:lo])
+	for k := lo; k < hi; k++ {
+		dst[k] = count * m.Perf(fraction(fr, step, k)*supplyW/count)
+	}
+	if hi < len(dst) {
+		top := count * m.Perf(m.PeakEffW)
+		for k := hi; k < len(dst); k++ {
+			dst[k] = top
+		}
+	}
+}
+
+// bandEdges returns the band [lo, hi) of n fractions f_k as fillBand
+// takes them. For a positive supply, IEEE multiplication and division
+// are monotone, so the per-server power f_k·supplyW/Count never falls
+// as k rises: the points below IdleW (strict <, as in clampedPerf) form
+// a prefix [0, lo), the points above PeakEffW (strict <, PeakEffW on
+// the left) a suffix [hi, n), and binary search finds both. The one
+// unordered power is NaN, a zero fraction of an infinite supply;
+// negative fractions of that supply are −Inf and positive ones +Inf,
+// so the NaN sits between the prefix and the suffix, where Perf sees
+// it as the reference does.
+//
+// ghlint:allocfree
+func bandEdges(fr []float64, step float64, n int, m *GroupModel, supplyW float64) (lo, hi int) {
+	count := float64(m.Count)
+	lo, hi = 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if fraction(fr, step, mid)*supplyW/count < m.IdleW {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	hi = n
+	for l := lo; l < hi; {
+		mid := int(uint(l+hi) >> 1)
+		if m.PeakEffW < fraction(fr, step, mid)*supplyW/count {
+			hi = mid
+		} else {
+			l = mid + 1
+		}
+	}
+	return lo, hi
+}
+
+// fraction is fillBand's k-th fraction: fr[k], or float64(k)·step when
+// fr is nil.
+//
+// ghlint:allocfree
+func fraction(fr []float64, step float64, k int) float64 {
+	if fr == nil {
+		return float64(k) * step
+	}
+	return fr[k]
+}
+
+// lastValues returns w.lastVal resized to n entries.
+//
+// ghlint:allocfree
+func (w *Warm) lastValues(n int) []float64 {
+	if cap(w.lastVal) < n {
+		w.lastVal = make([]float64, n)
+	}
+	w.lastVal = w.lastVal[:n]
+	return w.lastVal
 }
 
 // gridSearchFast scans the simplex in the reference row-major order,
-// reading groups 0..n-2 from per-grid-value tables and, with three
-// groups, the last group from the residual table; with fewer groups the
-// last group's fraction is evaluated directly. Accumulation replays the
+// reading groups 0..n-2 from per-grid-value tables and, with two or
+// three groups, the last group from w.lastVal: by its fraction 1−f₀
+// with two, by residual rank with three. Accumulation replays the
 // reference objective: total starts at zero and adds group
 // contributions in index order, so every candidate's perf is
 // bit-identical and the first-strict-improvement tie-breaking picks the
@@ -125,46 +204,57 @@ func (w *Warm) gridSearchFast(s *search, step float64) candidate {
 	}
 
 	w.fillTables(s, steps, step)
+	last := &s.models[n-1]
 
 	switch n {
 	case 1:
-		m := &s.models[0]
+		// fillBand's values, computed in the scan: a table here would
+		// cost every one-group rack of a fleet its own buffer.
+		lo, hi := bandEdges(nil, step, steps+1, last, s.supplyW)
+		count := float64(last.Count)
+		var top float64
+		if hi <= steps {
+			top = count * last.Perf(last.PeakEffW)
+		}
+		s.evals += steps + 1
 		for i := 0; i <= steps; i++ {
-			f0 := float64(i) * step
-			var total float64
-			total += groupValue(m, f0, s.supplyW)
-			s.evals++
-			if total > best.perf {
+			var v float64
+			if i >= hi {
+				v = top
+			} else if i >= lo {
+				v = count * last.Perf(float64(i)*step*s.supplyW/count)
+			}
+			if total := 0.0 + v; total > best.perf {
 				best.perf = total
-				best.fracs[0] = f0
+				best.fracs[0] = float64(i) * step
 			}
 		}
 	case 2:
 		t0 := w.tables[0]
-		m1 := &s.models[1]
+		if cap(w.lastFr) < steps+1 {
+			w.lastFr = make([]float64, steps+1)
+		}
+		fr1 := w.lastFr[:steps+1]
+		for k := range fr1 {
+			fr1[k] = 1 - float64(steps-k)*step
+		}
+		v1 := w.lastValues(steps + 1)
+		fillBand(v1, fr1, 0, last, s.supplyW)
+		s.evals += steps + 1
 		for i := 0; i <= steps; i++ {
-			f0 := float64(i) * step
-			f1 := 1 - f0
 			total := 0.0 + t0[i]
-			total += groupValue(m1, f1, s.supplyW)
-			s.evals++
+			total += v1[steps-i]
 			if total > best.perf {
 				best.perf = total
-				best.fracs[0] = f0
-				best.fracs[1] = f1
+				best.fracs[0] = float64(i) * step
+				best.fracs[1] = fr1[steps-i]
 			}
 		}
 	case 3:
 		t0, t1 := w.tables[0], w.tables[1]
 		w.indexResiduals(steps, step)
-		m2 := &s.models[2]
-		if cap(w.resVal) < len(w.resBits) {
-			w.resVal = make([]float64, len(w.resBits))
-		}
-		v2 := w.resVal[:len(w.resBits)]
-		for d, b := range w.resBits {
-			v2[d] = groupValue(m2, math.Float64frombits(b), s.supplyW)
-		}
+		v2 := w.lastValues(len(w.resFr))
+		fillBand(v2, w.resFr, 0, last, s.supplyW)
 		prune := w.fillBounds(t0, t1, v2)
 		idx := w.resIdx
 		for i := 0; i <= steps; i++ {
@@ -313,11 +403,12 @@ func residual(f0, f1 float64) float64 {
 }
 
 // indexResiduals builds the 3-group residual table for a grid step:
-// w.resBits gets the distinct residual bit patterns in ascending order,
-// w.resIdx maps each row-major grid point to its entry. Both depend on
-// the step alone, so a Warm rebuilds them only when the step's bits
-// change. The distinct set is kept sorted by binary-search insertion —
-// a one-time cost per step (the 1 % grid has 420 distinct residuals).
+// w.resFr gets the distinct residuals in ascending order, w.resIdx maps
+// each row-major grid point to its entry. Both depend on the step
+// alone, so a Warm rebuilds them only when the step's bits change. The
+// distinct set is kept sorted by binary-search insertion — a one-time
+// cost per step (the 1 % grid has 420 distinct residuals). Residuals
+// are never NaN or −0, so equal values have equal bits.
 //
 // ghlint:allocfree
 func (w *Warm) indexResiduals(steps int, step float64) {
@@ -328,21 +419,21 @@ func (w *Warm) indexResiduals(steps int, step float64) {
 	if cap(w.resIdx) < points {
 		w.resIdx = make([]int32, points)
 	}
-	if cap(w.resBits) < points {
-		w.resBits = make([]uint64, points)
+	if cap(w.resFr) < points {
+		w.resFr = make([]float64, points)
 	}
-	distinct := w.resBits[:0]
+	distinct := w.resFr[:0]
 	for i := 0; i <= steps; i++ {
 		f0 := float64(i) * step
 		for j := 0; i+j <= steps; j++ {
-			b := math.Float64bits(residual(f0, float64(j)*step))
-			k := searchBits(distinct, b)
-			if k < len(distinct) && distinct[k] == b {
+			r := residual(f0, float64(j)*step)
+			k := searchSorted(distinct, r)
+			if k < len(distinct) && math.Float64bits(distinct[k]) == math.Float64bits(r) {
 				continue
 			}
 			distinct = distinct[:len(distinct)+1]
 			copy(distinct[k+1:], distinct[k:])
-			distinct[k] = b
+			distinct[k] = r
 		}
 	}
 	idx := w.resIdx[:points]
@@ -350,23 +441,23 @@ func (w *Warm) indexResiduals(steps int, step float64) {
 	for i := 0; i <= steps; i++ {
 		f0 := float64(i) * step
 		for j := 0; i+j <= steps; j++ {
-			idx[p] = int32(searchBits(distinct, math.Float64bits(residual(f0, float64(j)*step))))
+			idx[p] = int32(searchSorted(distinct, residual(f0, float64(j)*step)))
 			p++
 		}
 	}
 	w.resIdx = idx
-	w.resBits = distinct
+	w.resFr = distinct
 	w.resStep = step
 }
 
-// searchBits returns the first index of sorted whose value is ≥ b.
+// searchSorted returns the first index of sorted whose value is ≥ v.
 //
 // ghlint:allocfree
-func searchBits(sorted []uint64, b uint64) int {
+func searchSorted(sorted []float64, v float64) int {
 	lo, hi := 0, len(sorted)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if sorted[mid] < b {
+		if sorted[mid] < v {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -392,10 +483,7 @@ func (w *Warm) fillTables(s *search, steps int, step float64) {
 	w.tables = w.tables[:tabled]
 	for g := 0; g < tabled; g++ {
 		tbl := w.tableBuf[g*(steps+1) : (g+1)*(steps+1)]
-		m := &s.models[g]
-		for i := 0; i <= steps; i++ {
-			tbl[i] = groupValue(m, float64(i)*step, s.supplyW)
-		}
+		fillBand(tbl, nil, step, &s.models[g], s.supplyW)
 		w.tables[g] = tbl
 	}
 }

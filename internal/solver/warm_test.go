@@ -57,6 +57,19 @@ func curveModel(count int, idleW, peakEffW float64, coeffs []float64) GroupModel
 	return GroupModel{Count: count, IdleW: idleW, PeakEffW: peakEffW, Perf: perf}
 }
 
+// rawModel is curveModel without the clamp: its polynomial is read at
+// every power, so only the solver's clamp applies Eq. 8.
+func rawModel(count int, idleW, peakEffW float64, coeffs []float64) GroupModel {
+	perf := func(p float64) float64 {
+		var v float64
+		for i := len(coeffs) - 1; i >= 0; i-- {
+			v = v*p + coeffs[i]
+		}
+		return v
+	}
+	return GroupModel{Count: count, IdleW: idleW, PeakEffW: peakEffW, Perf: perf}
+}
+
 // plateauModel quantizes m's Perf down to multiples of q, so that many
 // grid points share a total and only first-strict-improvement decides
 // between them.
@@ -218,12 +231,15 @@ func TestWarmPruneExactness(t *testing.T) {
 			curveModel(2, 45, 130, []float64{-80, 6.1, -0.015}),
 		}, 600},
 		{"negative-everywhere", []GroupModel{negative, negative, negative}, 500},
-		// The band covers group 2's zero residual, the first entry of
-		// its running maximum.
+		// Group 2's [0, 30) band covers its zero residual, which the
+		// clamp below IdleW 45 now masks; its [45, 75) band covers the
+		// first residual inside [IdleW, PeakEffW] at every step below
+		// (49, 70 and 63 W), the first entry of its running maximum
+		// that Perf fills.
 		{"nan-band", []GroupModel{
 			comb()[0],
 			bandModel(comb()[1], 40, 48, math.NaN()),
-			bandModel(comb()[2], 0, 30, math.NaN()),
+			bandModel(bandModel(comb()[2], 0, 30, math.NaN()), 45, 75, math.NaN()),
 		}, 700},
 		// Row bases reach +Inf while group 2's low residuals are −Inf:
 		// those totals and their bounds are NaN.
@@ -255,6 +271,125 @@ func TestWarmPruneExactness(t *testing.T) {
 	}
 }
 
+// vModel is an unclamped group: its Perf, |p − dipW|, is non-zero below
+// idle and still rises past peak, so only the solver's clamp keeps
+// those powers from winning.
+func vModel(count int, idleW, peakEffW, dipW float64) GroupModel {
+	return GroupModel{Count: count, IdleW: idleW, PeakEffW: peakEffW,
+		Perf: func(p float64) float64 { return math.Abs(p - dipW) }}
+}
+
+// clampedModel applies Eq. 8's clamp inside m's Perf, the way
+// profiledb.Entry.Predict does.
+func clampedModel(m GroupModel) GroupModel {
+	inner := m.Perf
+	m.Perf = func(p float64) float64 {
+		if p < m.IdleW {
+			return 0
+		}
+		return inner(math.Min(p, m.PeakEffW))
+	}
+	return m
+}
+
+// bandCalls is the number of Perf calls Eq. 8's clamp leaves for one
+// group over the fractions fracs: one per distinct per-server power
+// neither below IdleW nor above PeakEffW, plus one at PeakEffW when
+// some power lies above it.
+func bandCalls(m GroupModel, supply float64, fracs []float64) int {
+	inBand := make(map[uint64]bool)
+	above := 0
+	for _, f := range fracs {
+		switch p := f * supply / float64(m.Count); {
+		case p < m.IdleW:
+		case p > m.PeakEffW:
+			above = 1
+		default:
+			inBand[math.Float64bits(p)] = true
+		}
+	}
+	return len(inBand) + above
+}
+
+// TestWarmBandEdges puts grid points exactly on IdleW and PeakEffW: with
+// a 1/8 grid every fraction, residual and 1−f₀ is a multiple of 1/8,
+// and each group's per-server power at 2/8 of the supply is its idle
+// power, at 6/8 its peak. The curves are non-zero below idle and rise
+// past peak. Both solvers must agree bit for bit with each other and
+// with the same groups clamped inside Perf, and with refinement off
+// each group's Perf must run exactly as often as bandCalls says — a
+// band edge off by one point changes that count.
+func TestWarmBandEdges(t *testing.T) {
+	const step = 0.125
+	a := vModel(1, 200, 600, 450) // 100 W per grid step
+	b := vModel(2, 100, 300, 225) // 50 W per grid step
+	grid := make([]float64, 9)
+	last2 := make([]float64, 9)
+	var res []float64
+	for i := range grid {
+		grid[i] = float64(i) * step
+		last2[i] = 1 - grid[i]
+		for j := 0; i+j < len(grid); j++ {
+			res = append(res, residual(grid[i], float64(j)*step))
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		models []GroupModel
+		supply float64
+		// fracs lists each group's fractions over the grid scan.
+		fracs [][]float64
+	}{
+		{"one-group", []GroupModel{a}, 800, [][]float64{grid}},
+		{"two-groups", []GroupModel{a, b}, 800, [][]float64{grid, last2}},
+		{"three-groups", []GroupModel{b, a, a}, 800, [][]float64{grid, grid, res}},
+		// Zero fractions of an infinite supply give a NaN power.
+		{"infinite-supply", []GroupModel{a, b}, math.Inf(1), [][]float64{grid, last2}},
+	} {
+		for _, o := range []Options{{GridStep: step, RefinePasses: -1}, {GridStep: step}} {
+			label := fmt.Sprintf("%s %+v", tc.name, o)
+			calls := make([]int, len(tc.models))
+			counted := make([]GroupModel, len(tc.models))
+			clamped := make([]GroupModel, len(tc.models))
+			for g, m := range tc.models {
+				g, inner := g, m.Perf
+				counted[g] = m
+				counted[g].Perf = func(p float64) float64 { calls[g]++; return inner(p) }
+				clamped[g] = clampedModel(m)
+			}
+			var w Warm
+			got, err := w.Optimize(counted, tc.supply, o)
+			if err != nil {
+				t.Fatalf("%s: warm: %v", label, err)
+			}
+			if o.RefinePasses < 0 {
+				for g, m := range tc.models {
+					if want := bandCalls(m, tc.supply, tc.fracs[g]); calls[g] != want {
+						t.Errorf("%s: group %d Perf ran %d times, want %d", label, g, calls[g], want)
+					}
+				}
+			}
+			want, err := Optimize(tc.models, tc.supply, o)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			resultsBitEqual(t, label, got, want)
+			ref, err := Optimize(clamped, tc.supply, o)
+			if err != nil {
+				t.Fatalf("%s: clamped: %v", label, err)
+			}
+			resultsBitEqual(t, label+" clamped", got, ref)
+		}
+	}
+	// One group: idle's |200 − 450| = 250 beats every point in the
+	// band, the 350 of 100 W below idle and the 350 of 800 W past peak.
+	got, err := Optimize([]GroupModel{a}, 800, Options{GridStep: step})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsBitEqual(t, "one-group optimum", got, Result{Fractions: []float64{0.25}, PredictedPerf: 250, Evaluations: 9})
+}
+
 // comb5Models is the paper's Comb5 rack (Table IV): e5-2620, e5-2603
 // and i5-4460, five servers each, on SPECjbb.
 func comb5Models(t testing.TB) []GroupModel {
@@ -266,10 +401,12 @@ func comb5Models(t testing.TB) []GroupModel {
 }
 
 // TestWarmResidualTablePerfCalls pins the 3-group scan to one
-// evaluation of the last group per distinct residual fraction, not one
-// per simplex point: with refinement off, the last group's Perf runs
-// exactly as often as the grid has distinct 1−f₀−f₁ bit patterns.
+// evaluation of the last group per distinct residual fraction whose
+// per-server power lies in [IdleW, PeakEffW], plus one at PeakEffW
+// when some residual lies above it — not one per simplex point: with
+// refinement off, that is exactly how often the last group's Perf runs.
 func TestWarmResidualTablePerfCalls(t *testing.T) {
+	const supply = 900
 	for _, tc := range []struct {
 		step     float64
 		distinct int
@@ -277,10 +414,13 @@ func TestWarmResidualTablePerfCalls(t *testing.T) {
 		{0.01, 420},
 		{0.005, 913},
 	} {
-		// The reference grid's residuals, counted independently.
+		models := comb5Models(t)
+		m2 := models[2]
+		// The reference grid's residuals, counted independently, and
+		// those the clamp leaves to Perf.
 		steps := int(1/tc.step + 0.5)
 		seen := make(map[uint64]bool)
-		points := 0
+		points, inBand, abovePeak := 0, 0, 0
 		for i := 0; i <= steps; i++ {
 			for j := 0; i+j <= steps; j++ {
 				fr0 := float64(i) * tc.step
@@ -289,33 +429,47 @@ func TestWarmResidualTablePerfCalls(t *testing.T) {
 				if fr2 < 0 {
 					fr2 = 0
 				}
-				seen[math.Float64bits(fr2)] = true
 				points++
+				if seen[math.Float64bits(fr2)] {
+					continue
+				}
+				seen[math.Float64bits(fr2)] = true
+				switch p := fr2 * supply / float64(m2.Count); {
+				case p > m2.PeakEffW:
+					abovePeak++
+				case p >= m2.IdleW:
+					inBand++
+				}
 			}
 		}
 		if len(seen) != tc.distinct {
 			t.Fatalf("step %v: grid has %d distinct residuals, want %d", tc.step, len(seen), tc.distinct)
 		}
+		want := inBand
+		if abovePeak > 0 {
+			want++
+		}
+		if inBand == 0 || abovePeak == 0 || want >= tc.distinct {
+			t.Fatalf("step %v: %d residuals in band, %d above peak: the fixture no longer has both clamps", tc.step, inBand, abovePeak)
+		}
 
-		models := comb5Models(t)
 		var calls int
-		inner := models[2].Perf
-		models[2].Perf = func(p float64) float64 { calls++; return inner(p) }
+		models[2].Perf = func(p float64) float64 { calls++; return m2.Perf(p) }
 		o := Options{GridStep: tc.step, RefinePasses: -1}
 		var w Warm
-		got, err := w.Optimize(models, 900, o)
+		got, err := w.Optimize(models, supply, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if calls != tc.distinct {
-			t.Fatalf("step %v: last group's Perf ran %d times, want %d (one per distinct residual, not %d points)",
-				tc.step, calls, tc.distinct, points)
+		if calls != want {
+			t.Fatalf("step %v: last group's Perf ran %d times, want %d (%d distinct residuals in band + 1 at peak; %d distinct, %d points)",
+				tc.step, calls, want, inBand, tc.distinct, points)
 		}
-		want, err := Optimize(models, 900, o)
+		ref, err := Optimize(models, supply, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resultsBitEqual(t, "residual table", got, want)
+		resultsBitEqual(t, "residual table", got, ref)
 	}
 }
 
