@@ -135,7 +135,7 @@ func run() error {
 		}
 		var drawW, perf float64
 		staleEpoch := 0
-		feedback := map[int][]fit.Sample{}
+		feedback := make([][]fit.Sample, rack.NumGroups())
 		groupIdx := indexAddrs(rack, groupAddrs)
 		for _, r := range results {
 			if r.Err != nil {

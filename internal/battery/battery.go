@@ -136,10 +136,10 @@ func New(cfg Config) (*Bank, error) {
 	if cfg.MaxChargeW < 0 || cfg.MaxDischargeW < 0 {
 		return nil, fmt.Errorf("%w: negative power cap", ErrBadConfig)
 	}
-	// The floor/full comparisons need a tolerance for accumulated charge
+	// The floor comparisons need a tolerance for accumulated charge
 	// arithmetic rounding. A fixed 1e-9 Wh drops below one float64 ULP
 	// once capacity reaches ~12 MWh (ULP(1.2e7) ≈ 1.9e-9 Wh), making
-	// Full() unlatchable at site scale, so the tolerance scales with
+	// AtDoD() unlatchable at site scale, so the tolerance scales with
 	// capacity; the 5e-14 factor keeps every rack-scale bank (≤ 20 kWh)
 	// on the historical 1e-9 floor, bit-identical with prior releases.
 	eps := cfg.CapacityWh * 5e-14
@@ -153,9 +153,6 @@ func New(cfg Config) (*Bank, error) {
 		epsWh:    eps,
 	}, nil
 }
-
-// Config returns the bank's configuration.
-func (b *Bank) Config() Config { return b.cfg }
 
 // ChargeWh reports the currently stored energy.
 func (b *Bank) ChargeWh() float64 { return b.chargeWh }
@@ -171,9 +168,6 @@ func (b *Bank) SoC() float64 { return b.chargeWh / b.cfg.CapacityWh }
 //
 // ghlint:allocfree
 func (b *Bank) AtDoD() bool { return b.chargeWh <= b.floorWh+b.epsWh }
-
-// Full reports whether the bank is at nameplate capacity.
-func (b *Bank) Full() bool { return b.chargeWh >= b.cfg.CapacityWh-b.epsWh }
 
 // Cycles reports completed discharge-to-DoD cycles (paper §V-B.3 counts
 // ~2/day on the Low trace).

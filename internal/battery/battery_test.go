@@ -40,8 +40,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestStartsFull(t *testing.T) {
 	b := mustNew(t, DefaultConfig())
-	if !b.Full() {
-		t.Error("new bank should start full")
+	if b.ChargeWh() != b.cfg.CapacityWh {
+		t.Errorf("charge = %v Wh, want capacity %v", b.ChargeWh(), b.cfg.CapacityWh)
 	}
 	if got := b.SoC(); got != 1 {
 		t.Errorf("SoC = %v, want 1", got)
@@ -112,8 +112,8 @@ func TestChargeCapAtFull(t *testing.T) {
 	if math.Abs(got-1000) > 1e-6 { // 800 Wh room / 0.8 eff
 		t.Errorf("consumed %v, want 1000", got)
 	}
-	if !b.Full() {
-		t.Error("bank should be full after overcharge")
+	if room := b.cfg.CapacityWh - b.chargeWh; room > b.epsWh {
+		t.Errorf("bank %v Wh short of full after overcharge", room)
 	}
 }
 

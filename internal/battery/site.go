@@ -147,9 +147,6 @@ func (s *SiteBank) Bank() *Bank { return s.bank }
 // budgets are refreshed by Carve.
 func (s *SiteBank) Lease(i int) *Lease { return &s.leases[i] }
 
-// Racks returns the number of leases.
-func (s *SiteBank) Racks() int { return len(s.leases) }
-
 // Carve splits the bank's currently available discharge and charge
 // power across the leases by weight (weights must sum to ~1; they are
 // used as-is, so any shortfall is simply power left unoffered) and

@@ -95,7 +95,7 @@ func TestLeaseBudgetEnforcement(t *testing.T) {
 // cycle accounting and the grid-charged split.
 func TestSettleMatchesDirectBankFlows(t *testing.T) {
 	s := siteBank(t, 3)
-	direct, err := New(s.Bank().Config())
+	direct, err := New(s.Bank().cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,7 @@
 // schedule of domain events — cascading rack crashes, zone outages,
 // cloud-bank weather fronts sweeping PV across the rack axis, grid
 // price spikes, battery capacity fade, flash-crowd workload surges,
-// agent partitions (driven through internal/faultnet's Partition
-// primitive), and mid-storm daemon crashes at WAL crashpoints —
+// agent partitions, and mid-storm daemon crashes at WAL crashpoints —
 // expanded at build time from per-event seeded RNG streams into plain
 // epoch windows, then replayed through cluster.Run's Disturber hook.
 // Everything downstream of the seed is deterministic, so a storm's
@@ -17,7 +16,6 @@ import (
 	"sort"
 
 	"greenhetero/internal/cluster"
-	"greenhetero/internal/faultnet"
 	"greenhetero/internal/runner"
 )
 
@@ -47,9 +45,8 @@ const (
 	// means the whole fleet.
 	KindWorkloadSurge = "workload_surge"
 	// KindAgentPartition severs the target racks' agent links for the
-	// window through a faultnet.Partition: the coordinator holds their
-	// last grants instead of re-bidding them. Empty Racks means the
-	// whole fleet.
+	// window: the coordinator holds their last grants instead of
+	// re-bidding them. Empty Racks means the whole fleet.
 	KindAgentPartition = "agent_partition"
 	// KindDaemonCrash tears the checkpointed rack's daemon down at a
 	// seeded WAL crashpoint inside the commit of epoch At, keeps it
@@ -94,8 +91,9 @@ type Event struct {
 
 // Config describes a storm over a fleet.
 type Config struct {
-	// Racks is the fleet size; Names its rack names (synthesized when
-	// nil). Zone of rack i is i mod Zones (default 1 zone).
+	// Racks is the fleet size. Names, when non-nil, must hold one name
+	// per rack; the engine checks the count but reads no name. Zone of
+	// rack i is i mod Zones (default 1 zone).
 	Racks int
 	Names []string
 	Zones int
@@ -144,7 +142,6 @@ type surge struct {
 type partWindow struct {
 	from, to int
 	racks    []int // nil = all
-	part     *faultnet.Partition
 }
 
 // Engine is a built storm: every event expanded into plain epoch
@@ -178,13 +175,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Zones < 1 {
 		cfg.Zones = 1
 	}
-	if cfg.Names == nil {
-		cfg.Names = make([]string, cfg.Racks)
-		for i := range cfg.Names {
-			cfg.Names[i] = fmt.Sprintf("rack-%04d", i)
-		}
-	}
-	if len(cfg.Names) != cfg.Racks {
+	if cfg.Names != nil && len(cfg.Names) != cfg.Racks {
 		return nil, fmt.Errorf("chaos: %d names for %d racks", len(cfg.Names), cfg.Racks)
 	}
 	if cfg.JoinEpochs != nil && len(cfg.JoinEpochs) != cfg.Racks {
@@ -322,21 +313,7 @@ func (g *Engine) expand(idx int, ev Event, rng *rand.Rand) error {
 		if ev.Duration < 1 {
 			return bad("duration %d", ev.Duration)
 		}
-		peers := ev.Racks
-		names := make([]string, 0, len(peers))
-		if len(peers) == 0 {
-			names = append(names, g.cfg.Names...)
-		} else {
-			for _, r := range peers {
-				names = append(names, g.cfg.Names[r])
-			}
-		}
-		g.parts = append(g.parts, partWindow{
-			from:  ev.At,
-			to:    ev.At + ev.Duration,
-			racks: peers,
-			part:  faultnet.NewPartition(names...),
-		})
+		g.parts = append(g.parts, partWindow{from: ev.At, to: ev.At + ev.Duration, racks: ev.Racks})
 	case KindDaemonCrash:
 		if g.cfg.WALRack < 0 {
 			return bad("no WAL rack configured")
@@ -436,15 +413,7 @@ func (g *Engine) Disturb(epoch int, d *cluster.Disturbance) {
 		}
 	}
 	for _, p := range g.parts {
-		in := epoch >= p.from && epoch < p.to
-		if in != p.part.Active() {
-			if in {
-				p.part.Activate()
-			} else {
-				p.part.Deactivate()
-			}
-		}
-		if !in {
+		if epoch < p.from || epoch >= p.to {
 			continue
 		}
 		if p.racks == nil {
@@ -475,13 +444,3 @@ func (g *Engine) PriceScale(epoch int) float64 {
 // DaemonArm maps epochs to the WAL crashpoint offsets armed before
 // those epochs' commits (empty without daemon_crash events).
 func (g *Engine) DaemonArm() map[int]int { return g.daemonArm }
-
-// Partitions returns the storm's faultnet partitions, one per
-// agent_partition event, for attaching fault proxies.
-func (g *Engine) Partitions() []*faultnet.Partition {
-	out := make([]*faultnet.Partition, len(g.parts))
-	for i := range g.parts {
-		out[i] = g.parts[i].part
-	}
-	return out
-}

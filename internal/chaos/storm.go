@@ -15,8 +15,8 @@ type StormConfig struct {
 	// chaos engine as its Disturber and (with a WAL rack) the harness
 	// as its Checkpointer.
 	Fleet cluster.Config
-	// Chaos is the storm schedule. Racks, Epochs, and Names are filled
-	// from Fleet when zero.
+	// Chaos is the storm schedule. Racks and Epochs are filled from
+	// Fleet when zero.
 	Chaos Config
 	// SLOSupplyFrac is the report's SLO floor (default 0.5: an epoch
 	// supplied below half its demand violates).
@@ -44,13 +44,6 @@ func Run(sc StormConfig) (*cluster.FleetResult, *Report, error) {
 	}
 	if sc.Chaos.Epochs == 0 {
 		sc.Chaos.Epochs = sc.Fleet.Epochs
-	}
-	if sc.Chaos.Names == nil {
-		names := make([]string, 0, len(sc.Fleet.Racks))
-		for _, rc := range sc.Fleet.Racks {
-			names = append(names, rc.Rack.Name())
-		}
-		sc.Chaos.Names = names
 	}
 	if sc.Chaos.Racks != len(sc.Fleet.Racks) {
 		return nil, nil, fmt.Errorf("chaos: schedule sized for %d racks, fleet has %d", sc.Chaos.Racks, len(sc.Fleet.Racks))

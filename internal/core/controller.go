@@ -73,14 +73,11 @@ type Config struct {
 	// TryAllocation, if set, lets the Manual policy trial allocations
 	// on the live system at the epoch's supply.
 	TryAllocation func(supplyW float64, fractions []float64) (float64, error)
-	// Alpha/Beta fix the Holt smoothing parameters. Zero values mean
-	// the defaults (0.5, 0.3); use timeseries.Train on historical
-	// traces to pick better ones.
-	Alpha, Beta float64
 	// RenewablePredictor and DemandPredictor, when set, replace the
-	// default Holt smoothers (e.g. with the seasonal Holt-Winters
-	// extension). The paper's framework explicitly admits "any other
-	// proven prediction approaches" (§IV-B.1).
+	// default Holt smoothers (holtAlpha, holtBeta) — e.g. with Holt
+	// parameters trained by timeseries.Train, or the seasonal
+	// Holt-Winters extension. The paper's framework explicitly admits
+	// "any other proven prediction approaches" (§IV-B.1).
 	RenewablePredictor timeseries.Predictor
 	DemandPredictor    timeseries.Predictor
 }
@@ -115,6 +112,13 @@ type Controller struct {
 	trySupplyW float64
 }
 
+// holtAlpha and holtBeta are the default Holt smoothers' level and trend
+// parameters.
+const (
+	holtAlpha = 0.5
+	holtBeta  = 0.3
+)
+
 // recoverSoC is the state of charge at which a bank that drained to its
 // DoD floor is considered recovered and may discharge again.
 const recoverSoC = 0.75
@@ -137,15 +141,9 @@ func New(cfg Config) (*Controller, error) {
 	case cfg.GridBudgetW < 0:
 		return nil, fmt.Errorf("%w: grid budget %v", ErrBadConfig, cfg.GridBudgetW)
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.5
-	}
-	if cfg.Beta == 0 {
-		cfg.Beta = 0.3
-	}
 	var ren timeseries.Predictor = cfg.RenewablePredictor
 	if ren == nil {
-		h, err := timeseries.NewHolt(cfg.Alpha, cfg.Beta)
+		h, err := timeseries.NewHolt(holtAlpha, holtBeta)
 		if err != nil {
 			return nil, fmt.Errorf("core: renewable predictor: %w", err)
 		}
@@ -153,7 +151,7 @@ func New(cfg Config) (*Controller, error) {
 	}
 	var dem timeseries.Predictor = cfg.DemandPredictor
 	if dem == nil {
-		h, err := timeseries.NewHolt(cfg.Alpha, cfg.Beta)
+		h, err := timeseries.NewHolt(holtAlpha, holtBeta)
 		if err != nil {
 			return nil, fmt.Errorf("core: demand predictor: %w", err)
 		}
@@ -449,18 +447,22 @@ func (c *Controller) allocate(groupWs []workload.Workload, supplyW float64) ([]f
 
 // Feedback folds one epoch's measured per-group samples back into the
 // database when the policy is adaptive (Algorithm 1 lines 8–10).
-// Samples are keyed by group index; groupWs holds one workload per
-// group.
-func (c *Controller) Feedback(groupWs []workload.Workload, groupSamples map[int][]fit.Sample) error {
+// groupWs and groupSamples hold one entry per group, in group order; a
+// group with no samples is skipped. Groups are folded in order, so the
+// first failing group names the error.
+func (c *Controller) Feedback(groupWs []workload.Workload, groupSamples [][]fit.Sample) error {
 	if !c.cfg.Policy.UpdatesDB() {
 		return nil
 	}
 	if len(groupWs) != len(c.groups) {
 		return fmt.Errorf("core: feedback: %d workloads for %d groups", len(groupWs), len(c.groups))
 	}
+	if len(groupSamples) != len(c.groups) {
+		return fmt.Errorf("core: feedback: %d sample sets for %d groups", len(groupSamples), len(c.groups))
+	}
 	for idx, samples := range groupSamples {
-		if idx < 0 || idx >= len(c.groups) {
-			return fmt.Errorf("core: feedback: group index %d out of range", idx)
+		if len(samples) == 0 {
+			continue
 		}
 		k := profiledb.Key{ServerID: c.groups[idx].Spec.ID, WorkloadID: groupWs[idx].ID}
 		if err := c.cfg.DB.AddFeedback(k, samples...); err != nil {
@@ -512,12 +514,3 @@ func (c *Controller) BelievedDemandW(groupWs []workload.Workload) (float64, erro
 	}
 	return total, nil
 }
-
-// Rack exposes the controller's rack.
-func (c *Controller) Rack() *server.Rack { return c.cfg.Rack }
-
-// Policy exposes the active policy.
-func (c *Controller) Policy() policy.Policy { return c.cfg.Policy }
-
-// Epoch exposes the scheduling epoch length.
-func (c *Controller) Epoch() time.Duration { return c.cfg.Epoch }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,7 +76,7 @@ func testConfig(t *testing.T) Config {
 // uniform is one workload per group of ctrl's rack, every group
 // running w.
 func uniform(ctrl *Controller, w workload.Workload) []workload.Workload {
-	ws := make([]workload.Workload, ctrl.Rack().NumGroups())
+	ws := make([]workload.Workload, len(ctrl.groups))
 	for i := range ws {
 		ws[i] = w
 	}
@@ -113,11 +114,6 @@ func TestNewValidation(t *testing.T) {
 				t.Errorf("err = %v, want ErrBadConfig", err)
 			}
 		})
-	}
-	bad := base
-	bad.Alpha = 2
-	if _, err := New(bad); err == nil {
-		t.Error("alpha out of range should error")
 	}
 }
 
@@ -266,7 +262,7 @@ func TestFeedbackGatedByPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrl.Feedback(uniform(ctrl, w), map[int][]fit.Sample{0: {sample, {X: 100, Y: 300}}}); err != nil {
+	if err := ctrl.Feedback(uniform(ctrl, w), [][]fit.Sample{{sample, {X: 100, Y: 300}}, nil}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := cfg.DB.Lookup(profiledb.Key{ServerID: server.XeonE52620, WorkloadID: w.ID})
@@ -287,7 +283,7 @@ func TestFeedbackGatedByPolicy(t *testing.T) {
 	if _, err := ctrlA.Step(Observation{RenewableW: 500, DemandW: 1000}, uniform(ctrlA, w)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrlA.Feedback(uniform(ctrlA, w), map[int][]fit.Sample{0: {sample, {X: 100, Y: 300}}}); err != nil {
+	if err := ctrlA.Feedback(uniform(ctrlA, w), [][]fit.Sample{{sample, {X: 100, Y: 300}}, nil}); err != nil {
 		t.Fatal(err)
 	}
 	e, err := cfgA.DB.Lookup(profiledb.Key{ServerID: server.XeonE52620, WorkloadID: w.ID})
@@ -309,9 +305,39 @@ func TestFeedbackBadGroupIndex(t *testing.T) {
 	if _, err := ctrl.Step(Observation{RenewableW: 500, DemandW: 1000}, uniform(ctrl, w)); err != nil {
 		t.Fatal(err)
 	}
-	err = ctrl.Feedback(uniform(ctrl, w), map[int][]fit.Sample{7: {{X: 1, Y: 1}}})
-	if err == nil {
-		t.Error("out-of-range group index must error")
+	// One sample set per group: a set for a group the rack does not
+	// have is an error, not silently dropped.
+	samples := make([][]fit.Sample, 8)
+	samples[7] = []fit.Sample{{X: 1, Y: 1}}
+	if err := ctrl.Feedback(uniform(ctrl, w), samples); err == nil {
+		t.Error("a sample set beyond the rack's groups must error")
+	}
+	if err := ctrl.Feedback(uniform(ctrl, w), samples[:1]); err == nil {
+		t.Error("fewer sample sets than groups must error")
+	}
+}
+
+// TestFeedbackErrorNamesFirstGroup: groups are folded in group order, so
+// when several fail the error always names the first. Feedback before
+// any training run fails with ErrNotFound for both groups.
+func TestFeedbackErrorNamesFirstGroup(t *testing.T) {
+	ctrl, err := New(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mustWorkload(t, workload.SPECjbb)
+	ws := uniform(ctrl, w)
+	first := profiledb.Key{ServerID: ctrl.groups[0].Spec.ID, WorkloadID: w.ID}.String()
+	second := profiledb.Key{ServerID: ctrl.groups[1].Spec.ID, WorkloadID: w.ID}.String()
+	samples := [][]fit.Sample{{{X: 100, Y: 300}}, {{X: 60, Y: 200}}}
+	for i := 0; i < 20; i++ {
+		err := ctrl.Feedback(ws, samples)
+		if !errors.Is(err, profiledb.ErrNotFound) {
+			t.Fatalf("call %d: err = %v, want ErrNotFound", i, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, first) || strings.Contains(msg, second) {
+			t.Fatalf("call %d: err = %q, want it to name %s only", i, msg, first)
+		}
 	}
 }
 
@@ -346,17 +372,6 @@ func TestRecoveryLockoutAfterDoD(t *testing.T) {
 	}
 	if !sawGridChargeDuringLockout {
 		t.Error("grid never recharged the bank after DoD")
-	}
-}
-
-func TestAccessors(t *testing.T) {
-	cfg := testConfig(t)
-	ctrl, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctrl.Rack() != cfg.Rack || ctrl.Policy().Name() != "GreenHetero" || ctrl.Epoch() != cfg.Epoch {
-		t.Error("accessor mismatch")
 	}
 }
 
@@ -453,8 +468,9 @@ func TestFeedbackMixedKeying(t *testing.T) {
 	if _, err := ctrl.Step(Observation{RenewableW: 600, DemandW: 1000}, ws); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrl.Feedback(ws, map[int][]fit.Sample{
-		1: {{X: 55, Y: 10}, {X: 60, Y: 12}},
+	if err := ctrl.Feedback(ws, [][]fit.Sample{
+		nil,
+		{{X: 55, Y: 10}, {X: 60, Y: 12}},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -88,8 +88,3 @@ func FromSeries(gridW []float64, stepHours float64, t Tariff) (Bill, error) {
 	b.Total = b.EnergyCost + b.PeakCost
 	return b, nil
 }
-
-// UnderProvisionSaving compares two bills (e.g. GreenHetero vs Uniform at
-// equal throughput targets) and reports the saving of the first over the
-// second; negative means the first costs more.
-func UnderProvisionSaving(a, b Bill) float64 { return b.Total - a.Total }

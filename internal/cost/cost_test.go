@@ -45,17 +45,6 @@ func TestFromSeriesErrors(t *testing.T) {
 	}
 }
 
-func TestUnderProvisionSaving(t *testing.T) {
-	a := Bill{Total: 10}
-	b := Bill{Total: 25}
-	if got := UnderProvisionSaving(a, b); got != 15 {
-		t.Errorf("saving = %v, want 15", got)
-	}
-	if got := UnderProvisionSaving(b, a); got != -15 {
-		t.Errorf("saving = %v, want -15", got)
-	}
-}
-
 // Property: the bill is monotone — scaling the series up never lowers
 // any component.
 func TestQuickBillMonotone(t *testing.T) {

@@ -1,9 +1,7 @@
 // Symmetric network partitions: a named peer set whose traffic is
-// dropped in both directions while the partition is active. Chaos
-// scenarios toggle one Partition per scheduled window instead of
-// scripting per-connection drops; the same primitive drives both the
-// TCP proxy (WithPartition) and the fleet chaos engine's logical
-// agent-partition events.
+// dropped in both directions while the partition is active. Fault
+// tests toggle one Partition per scheduled window instead of scripting
+// per-connection drops; the TCP proxy honours it through WithPartition.
 
 package faultnet
 

@@ -51,9 +51,6 @@ func (p Poly) Eval(x float64) float64 {
 	return y
 }
 
-// Degree reports the polynomial degree (len(coeffs)-1), or -1 when empty.
-func (p Poly) Degree() int { return len(p.Coeffs) - 1 }
-
 // String renders the polynomial in human-readable ascending-power form.
 func (p Poly) String() string {
 	if len(p.Coeffs) == 0 {

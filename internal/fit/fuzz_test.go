@@ -46,7 +46,7 @@ func FuzzFitQuadratic(f *testing.F) {
 		if err != nil {
 			return // rejecting degenerate input is fine; panicking is not
 		}
-		if got, want := p.Degree(), 2; got != want {
+		if got, want := len(p.Coeffs)-1, 2; got != want {
 			t.Fatalf("Quadratic degree = %d, want %d", got, want)
 		}
 		if p.N != len(samples) {

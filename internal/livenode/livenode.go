@@ -102,19 +102,11 @@ func (n *Node) Sample() (telemetry.Reading, error) {
 	defer n.mu.Unlock()
 	used := workload.UsedPowerWAt(n.spec, n.w, n.targetW, n.intensity)
 	perf := workload.PerfAt(n.spec, n.w, n.targetW, n.intensity)
-	noise := n.w.Noise()
-	powerNoisy := used * (1 + 0.01*n.rng.NormFloat64())
-	perfNoisy := perf * (1 + noise*n.rng.NormFloat64())
-	if powerNoisy < 0 {
-		powerNoisy = 0
-	}
-	if perfNoisy < 0 {
-		perfNoisy = 0
-	}
+	m := workload.Measure(used, perf, 1, n.w.Noise(), n.rng)
 	return telemetry.Reading{
 		NodeID:     n.id,
-		PowerW:     powerNoisy,
-		Perf:       perfNoisy,
+		PowerW:     m.X,
+		Perf:       m.Y,
 		UnixMillis: time.Now().UnixMilli(),
 	}, nil
 }

@@ -9,10 +9,7 @@
 // effective peak (the server cannot draw it) counts against the policy.
 package metrics
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // ErrNoData is returned by aggregations over empty inputs.
 var ErrNoData = errors.New("metrics: no data")
@@ -35,26 +32,6 @@ func EPU(throughputPowerW, supplyW float64) float64 {
 	return epu
 }
 
-// Allocation is one server group's share of an epoch's power, with the
-// power the group's servers actually consumed toward throughput.
-type Allocation struct {
-	// AllocatedW is the power handed to the group.
-	AllocatedW float64
-	// UsedW is the power the group converted into throughput
-	// (0 when below idle, capped at the workload's effective peak).
-	UsedW float64
-}
-
-// EpochEPU sums a set of group allocations into one EPU value against
-// the supplied power.
-func EpochEPU(allocs []Allocation, supplyW float64) float64 {
-	var used float64
-	for _, a := range allocs {
-		used += a.UsedW
-	}
-	return EPU(used, supplyW)
-}
-
 // Mean returns the arithmetic mean.
 func Mean(values []float64) (float64, error) {
 	if len(values) == 0 {
@@ -65,38 +42,6 @@ func Mean(values []float64) (float64, error) {
 		sum += v
 	}
 	return sum / float64(len(values)), nil
-}
-
-// Summary aggregates a series.
-type Summary struct {
-	Min, Max, Mean, Std float64
-	N                   int
-}
-
-// Summarize computes min/max/mean/population-std.
-func Summarize(values []float64) (Summary, error) {
-	if len(values) == 0 {
-		return Summary{}, ErrNoData
-	}
-	s := Summary{Min: values[0], Max: values[0], N: len(values)}
-	var sum float64
-	for _, v := range values {
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-		sum += v
-	}
-	s.Mean = sum / float64(s.N)
-	var varSum float64
-	for _, v := range values {
-		d := v - s.Mean
-		varSum += d * d
-	}
-	s.Std = math.Sqrt(varSum / float64(s.N))
-	return s, nil
 }
 
 // SLOViolated reports whether a served epoch missed its supply SLO:

@@ -29,21 +29,6 @@ func TestEPU(t *testing.T) {
 	}
 }
 
-func TestEpochEPU(t *testing.T) {
-	allocs := []Allocation{
-		{AllocatedW: 110, UsedW: 110},
-		{AllocatedW: 110, UsedW: 81},
-	}
-	got := EpochEPU(allocs, 220)
-	want := 191.0 / 220
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("EpochEPU = %v, want %v", got, want)
-	}
-	if got := EpochEPU(nil, 100); got != 0 {
-		t.Errorf("empty EpochEPU = %v, want 0", got)
-	}
-}
-
 func TestMeanGeoMean(t *testing.T) {
 	m, err := Mean([]float64{1, 2, 3})
 	if err != nil || m != 2 {
@@ -51,22 +36,6 @@ func TestMeanGeoMean(t *testing.T) {
 	}
 	if _, err := Mean(nil); !errors.Is(err, ErrNoData) {
 		t.Errorf("Mean(nil) err = %v", err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean != 5 || s.Min != 2 || s.Max != 9 || s.N != 8 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if math.Abs(s.Std-2) > 1e-12 {
-		t.Errorf("Std = %v, want 2", s.Std)
-	}
-	if _, err := Summarize(nil); !errors.Is(err, ErrNoData) {
-		t.Errorf("err = %v, want ErrNoData", err)
 	}
 }
 

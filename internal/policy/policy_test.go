@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"greenhetero/internal/fit"
 	"greenhetero/internal/profiledb"
 	"greenhetero/internal/server"
 	"greenhetero/internal/solver"
@@ -20,14 +19,8 @@ func trainDB(t testing.TB, groups []server.Group, w workload.Workload) *profiled
 	db := profiledb.New()
 	rng := rand.New(rand.NewSource(99))
 	for _, g := range groups {
-		samples, err := workload.Profile(g.Spec, w, 8, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs := make([]fit.Sample, len(samples))
-		for i, s := range samples {
-			fs[i] = fit.Sample{X: s.PowerW, Y: s.Perf}
-		}
+		pl := workload.NewPlant(g.Spec, w)
+		fs := pl.Sweep(workload.NewLoad(1), 8, 1, rng)
 		k := profiledb.Key{ServerID: g.Spec.ID, WorkloadID: w.ID}
 		if err := db.AddTrainingRun(k, g.Spec.IdleW, workload.PeakEffW(g.Spec, w), fs); err != nil {
 			t.Fatal(err)
@@ -214,8 +207,8 @@ func TestSolverPolicyOneSolvePath(t *testing.T) {
 
 	models := make([]solver.GroupModel, len(groups))
 	for i, g := range groups {
-		e, err := db.Projection(profiledb.Key{ServerID: g.Spec.ID, WorkloadID: w.ID})
-		if err != nil {
+		var e profiledb.Entry
+		if err := db.ProjectionInto(profiledb.Key{ServerID: g.Spec.ID, WorkloadID: w.ID}, &e); err != nil {
 			t.Fatal(err)
 		}
 		models[i] = solver.GroupModel{Count: g.Count, IdleW: e.IdleW, PeakEffW: e.PeakEffW, Perf: e.Predict}
@@ -389,15 +382,8 @@ func TestGroupWorkloadsMixedAllocation(t *testing.T) {
 	mc := mustWorkload(t, workload.Memcached)
 	// Train the DB for the mixed assignment.
 	db := trainDB(t, groups[:1], jbb)
-	rng := rand.New(rand.NewSource(5))
-	samples, err := workload.Profile(groups[1].Spec, mc, 8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := make([]fit.Sample, len(samples))
-	for i, s := range samples {
-		fs[i] = fit.Sample{X: s.PowerW, Y: s.Perf}
-	}
+	pl := workload.NewPlant(groups[1].Spec, mc)
+	fs := pl.Sweep(workload.NewLoad(1), 8, 1, rand.New(rand.NewSource(5)))
 	k := profiledb.Key{ServerID: groups[1].Spec.ID, WorkloadID: mc.ID}
 	if err := db.AddTrainingRun(k, groups[1].Spec.IdleW, workload.PeakEffW(groups[1].Spec, mc), fs); err != nil {
 		t.Fatal(err)

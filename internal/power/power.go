@@ -105,13 +105,6 @@ func (p Plan) SupplyW() float64 {
 	return p.LoadRenewableW + p.LoadBatteryW + p.LoadGridW
 }
 
-// GridW is the total grid draw (load + charging).
-//
-// ghlint:allocfree
-func (p Plan) GridW() float64 {
-	return p.LoadGridW + p.ChargeGridW
-}
-
 // Select plans the epoch's source mix. It is a pure function of its
 // inputs: the simulator applies the plan to the battery afterwards.
 //

@@ -64,8 +64,8 @@ func TestCaseBBatterySupplements(t *testing.T) {
 	if p.LoadRenewableW != 600 || p.LoadBatteryW != 400 || p.LoadGridW != 0 {
 		t.Errorf("load mix = %+v", p)
 	}
-	if p.GridW() != 0 {
-		t.Errorf("grid = %v, want 0", p.GridW())
+	if grid := p.LoadGridW + p.ChargeGridW; grid != 0 {
+		t.Errorf("grid = %v, want 0", grid)
 	}
 	if p.SupplyW() != 1000 {
 		t.Errorf("supply = %v", p.SupplyW())
@@ -234,7 +234,7 @@ func TestQuickPlanInvariants(t *testing.T) {
 		if p.ChargeRenewableW+p.ChargeGridW > in.BatteryChargeW+eps {
 			return false
 		}
-		if p.GridW() > in.GridBudgetW+eps {
+		if p.LoadGridW+p.ChargeGridW > in.GridBudgetW+eps {
 			return false
 		}
 		if p.ChargeRenewableW > 0 && p.ChargeGridW > 0 {

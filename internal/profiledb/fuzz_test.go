@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzLoad hardens the database decoder: malformed snapshots must error
-// or produce a usable store — never panic, never corrupt Predict.
+// FuzzLoad hardens the database decoder behind RestoreFrom: malformed
+// snapshots must error or produce a usable store — never panic, never
+// corrupt Predict.
 func FuzzLoad(f *testing.F) {
 	// Seed with a real snapshot.
 	db := New()
@@ -25,11 +26,11 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`garbage`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := Load(bytes.NewReader(data))
-		if err != nil {
+		loaded := New()
+		if err := loaded.RestoreFrom(bytes.NewReader(data)); err != nil {
 			return
 		}
-		for _, k := range loaded.Keys() {
+		for k := range loaded.entries {
 			e, err := loaded.Lookup(k)
 			if err != nil {
 				t.Fatalf("listed key %v not loadable: %v", k, err)

@@ -59,7 +59,7 @@ func entriesBitEqual(t *testing.T, step int, got Entry, want *Entry) {
 		}
 	}
 	if len(got.Curve.Coeffs) != len(want.Curve.Coeffs) {
-		t.Fatalf("step %d: curve degree %d vs %d", step, got.Curve.Degree(), want.Curve.Degree())
+		t.Fatalf("step %d: curve degree %d vs %d", step, len(got.Curve.Coeffs)-1, len(want.Curve.Coeffs)-1)
 	}
 	for i := range got.Curve.Coeffs {
 		if math.Float64bits(got.Curve.Coeffs[i]) != math.Float64bits(want.Curve.Coeffs[i]) {
@@ -77,11 +77,11 @@ func entriesBitEqual(t *testing.T, step int, got Entry, want *Entry) {
 // through growth, eviction, degenerate windows, and recovery, checking
 // bit-identity against the batch reference after every call.
 func TestAddFeedbackMatchesBatchRefit(t *testing.T) {
-	const window = 12
+	const window = maxSamples
 	k := Key{ServerID: "xeon", WorkloadID: "jbb"}
 	train := []fit.Sample{{X: 40, Y: 100}, {X: 55, Y: 180}, {X: 70, Y: 240}, {X: 85, Y: 280}}
 
-	db := New(WithMaxSamples(window))
+	db := New()
 	if err := db.AddTrainingRun(k, 30, 90, train); err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +95,24 @@ func TestAddFeedbackMatchesBatchRefit(t *testing.T) {
 	}
 	ref.entries[k].Curve = refCurve
 
-	// Feedback stream: single appends, a multi-sample batch bigger than
-	// the remaining window, a batch bigger than the whole window, a
-	// degenerate all-same-X burst (refit fails, curve kept), then
-	// recovery samples.
+	// Feedback stream: single appends, multi-sample batches, a batch
+	// bigger than the remaining window, a batch bigger than the whole
+	// window, a degenerate all-same-X burst (refit fails, curve kept),
+	// then recovery samples.
 	steps := [][]fit.Sample{
 		{{X: 62, Y: 210.5}},
 		{{X: 47.25, Y: 151}},
 		{{X: 95, Y: 310}}, // widens PeakEffW
 		{{X: 58, Y: 190}, {X: 66, Y: 222}, {X: 74, Y: 251}, {X: 81, Y: 270}, {X: 88, Y: 288}},
 		{{X: 52, Y: 170}, {X: 69, Y: 230}, {X: 77, Y: 258}},
+		func() []fit.Sample { // overflows the window: evicts part of it
+			over := make([]fit.Sample, window-5)
+			for i := range over {
+				x := 41 + 0.7*float64(i)
+				over[i] = fit.Sample{X: x, Y: 95 + 3.1*x - 0.01*x*x}
+			}
+			return over
+		}(),
 		func() []fit.Sample { // one batch larger than the whole window
 			big := make([]fit.Sample, window+3)
 			for i := range big {
@@ -143,7 +151,7 @@ func TestAddFeedbackMatchesBatchRefit(t *testing.T) {
 // accumulator buffers).
 func TestAddFeedbackSteadyStateAllocFree(t *testing.T) {
 	k := Key{ServerID: "xeon", WorkloadID: "jbb"}
-	db := New(WithMaxSamples(16))
+	db := New()
 	train := []fit.Sample{{X: 40, Y: 100}, {X: 55, Y: 180}, {X: 70, Y: 240}, {X: 85, Y: 280}}
 	if err := db.AddTrainingRun(k, 30, 90, train); err != nil {
 		t.Fatal(err)
@@ -151,7 +159,7 @@ func TestAddFeedbackSteadyStateAllocFree(t *testing.T) {
 	// Warm up: fill the window past capacity so every further call runs
 	// the evict+re-accumulate+refit path, and let slice capacities settle.
 	fb := make([]fit.Sample, 1)
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 2*maxSamples; i++ {
 		x := 40 + float64(i%50)
 		fb[0] = fit.Sample{X: x, Y: 80 + 3*x - 0.011*x*x}
 		if err := db.AddFeedback(k, fb...); err != nil {
@@ -190,8 +198,8 @@ func TestProjectionMatchesLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := db.Projection(k)
-	if err != nil {
+	var proj Entry
+	if err := db.ProjectionInto(k, &proj); err != nil {
 		t.Fatal(err)
 	}
 	if proj.Samples != nil {
@@ -223,7 +231,7 @@ func TestProjectionMatchesLookup(t *testing.T) {
 		t.Fatal("mutating a projection scratch reached the store")
 	}
 
-	if _, err := db.Projection(Key{ServerID: "nope", WorkloadID: "nope"}); err == nil {
-		t.Fatal("Projection of missing key must error")
+	if err := db.ProjectionInto(Key{ServerID: "nope", WorkloadID: "nope"}, &scratch); err == nil {
+		t.Fatal("ProjectionInto of missing key must error")
 	}
 }

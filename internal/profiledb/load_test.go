@@ -25,8 +25,8 @@ func trainedDB(t *testing.T) *DB {
 	return db
 }
 
-// TestLoadRejections drives Load with hand-built snapshots covering
-// every class the validator must refuse.
+// TestLoadRejections drives RestoreFrom with hand-built snapshots
+// covering every class the validator must refuse.
 func TestLoadRejections(t *testing.T) {
 	// A minimal well-formed entry to mutate from.
 	valid := `{"key":{"serverId":"a","workloadId":"w"},"idleW":50,"peakEffW":200,` +
@@ -63,8 +63,8 @@ func TestLoadRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Load(strings.NewReader(tc.json)); err == nil {
-				t.Errorf("Load accepted %s", tc.json)
+			if err := New().RestoreFrom(strings.NewReader(tc.json)); err == nil {
+				t.Errorf("RestoreFrom accepted %s", tc.json)
 			}
 		})
 	}
@@ -74,13 +74,13 @@ func TestLoadRejectionsAreErrBadEntry(t *testing.T) {
 	// Structural (JSON) failures wrap differently, but every semantic
 	// rejection is ErrBadEntry so callers can distinguish corrupt files
 	// from unreadable ones.
-	_, err := Load(strings.NewReader(`{"maxSamples":0,"entries":[]}`))
+	err := New().RestoreFrom(strings.NewReader(`{"maxSamples":0,"entries":[]}`))
 	if !errors.Is(err, ErrBadEntry) {
 		t.Errorf("semantic rejection err = %v, want ErrBadEntry", err)
 	}
 }
 
-// TestSaveLoadByteIdentical: Save output is accepted by Load and
+// TestSaveLoadByteIdentical: Save output is accepted by RestoreFrom and
 // reproduces the database byte-for-byte on a second Save.
 func TestSaveLoadByteIdentical(t *testing.T) {
 	db := trainedDB(t)
@@ -88,8 +88,8 @@ func TestSaveLoadByteIdentical(t *testing.T) {
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	loaded := New()
+	if err := loaded.RestoreFrom(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	var again bytes.Buffer
@@ -125,9 +125,14 @@ func TestRestoreFrom(t *testing.T) {
 		t.Error("RestoreFrom did not reproduce the snapshot byte-for-byte")
 	}
 
-	// maxSamples is part of the deployment fingerprint.
-	other := New(WithMaxSamples(8))
-	if err := other.RestoreFrom(bytes.NewReader(snap.Bytes())); !errors.Is(err, ErrBadEntry) {
+	// maxSamples is part of the snapshot's fingerprint: a window other
+	// than this build's is refused.
+	otherWindow := bytes.Replace(snap.Bytes(), []byte(`"maxSamples": 64`), []byte(`"maxSamples": 8`), 1)
+	if bytes.Equal(otherWindow, snap.Bytes()) {
+		t.Fatal("test premise broken: snapshot has no maxSamples 64 field")
+	}
+	other := New()
+	if err := other.RestoreFrom(bytes.NewReader(otherWindow)); !errors.Is(err, ErrBadEntry) {
 		t.Errorf("mismatched maxSamples err = %v, want ErrBadEntry", err)
 	}
 	if other.Len() != 0 {
@@ -145,34 +150,28 @@ func TestRestoreFrom(t *testing.T) {
 }
 
 // TestLoadSnapshotWithR2: snapshots written while fits carried an "R2"
-// field (daemon state dirs, journal frames) still recover through both
-// Load and RestoreFrom; the field is ignored and not written back.
+// field (daemon state dirs, journal frames) still recover through
+// RestoreFrom; the field is ignored and not written back.
 func TestLoadSnapshotWithR2(t *testing.T) {
 	const snap = `{"maxSamples":64,"entries":[{"key":{"serverId":"a","workloadId":"w"},` +
 		`"idleW":50,"peakEffW":200,"samples":[{"X":100,"Y":10},{"X":150,"Y":22}],` +
 		`"curve":{"Coeffs":[1,2],"R2":0.93,"N":2},"refits":3}]}`
-	loaded, err := Load(strings.NewReader(snap))
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	restored := New()
-	if err := restored.RestoreFrom(strings.NewReader(snap)); err != nil {
+	db := New()
+	if err := db.RestoreFrom(strings.NewReader(snap)); err != nil {
 		t.Fatalf("RestoreFrom: %v", err)
 	}
-	for name, db := range map[string]*DB{"Load": loaded, "RestoreFrom": restored} {
-		e, err := db.Lookup(Key{ServerID: "a", WorkloadID: "w"})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(e.Curve.Coeffs) != 2 || e.Curve.Coeffs[1] != 2 || e.Curve.N != 2 || e.Refits != 3 {
-			t.Errorf("%s: entry %+v", name, e)
-		}
-		var out bytes.Buffer
-		if err := db.Save(&out); err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(out.String(), `"R2"`) {
-			t.Errorf("%s: re-saved snapshot still carries R2", name)
-		}
+	e, err := db.Lookup(Key{ServerID: "a", WorkloadID: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Curve.Coeffs) != 2 || e.Curve.Coeffs[1] != 2 || e.Curve.N != 2 || e.Refits != 3 {
+		t.Errorf("entry %+v", e)
+	}
+	var out bytes.Buffer
+	if err := db.Save(&out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), `"R2"`) {
+		t.Error("re-saved snapshot still carries R2")
 	}
 }

@@ -98,41 +98,20 @@ var (
 	ErrFit = errors.New("profiledb: fit failed")
 )
 
+// maxSamples caps retained samples per entry (oldest evicted first): the
+// cap keeps refits cheap and lets the projection track drift.
+const maxSamples = 64
+
 // DB is the thread-safe store.
 type DB struct {
 	mu sync.RWMutex
 	// ghlint:guardedby mu
 	entries map[Key]*Entry
-	// maxSamples is set only by Options inside New, before the DB is
-	// published to any other goroutine, and is immutable afterwards — so
-	// it is deliberately not guarded.
-	maxSamples int
-}
-
-// Option configures a DB.
-type Option func(*DB)
-
-// WithMaxSamples caps retained samples per entry (oldest evicted first).
-// The default is 64; the cap keeps refits cheap and lets the projection
-// track drift.
-func WithMaxSamples(n int) Option {
-	return func(db *DB) {
-		if n > 0 {
-			db.maxSamples = n
-		}
-	}
 }
 
 // New creates an empty database.
-func New(opts ...Option) *DB {
-	db := &DB{
-		entries:    make(map[Key]*Entry),
-		maxSamples: 64,
-	}
-	for _, o := range opts {
-		o(db)
-	}
-	return db
+func New() *DB {
+	return &DB{entries: make(map[Key]*Entry)}
 }
 
 // Len reports the number of entries.
@@ -140,23 +119,6 @@ func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return len(db.entries)
-}
-
-// Keys returns all keys, sorted for determinism.
-func (db *DB) Keys() []Key {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	keys := make([]Key, 0, len(db.entries))
-	for k := range db.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ServerID != keys[j].ServerID {
-			return keys[i].ServerID < keys[j].ServerID
-		}
-		return keys[i].WorkloadID < keys[j].WorkloadID
-	})
-	return keys
 }
 
 // Lookup returns a copy of the entry for k, or ErrNotFound.
@@ -170,20 +132,12 @@ func (db *DB) Lookup(k Key) (Entry, error) {
 	return copyEntry(e), nil
 }
 
-// Projection returns a copy of the entry without its retained samples —
-// the fields the allocation policies and solver actually read (bounds,
-// curve, refit count). Use Lookup when the sample window is needed.
-func (db *DB) Projection(k Key) (Entry, error) {
-	var out Entry
-	if err := db.ProjectionInto(k, &out); err != nil {
-		return Entry{}, err
-	}
-	return out, nil
-}
-
-// ProjectionInto is Projection writing into out, reusing out's
-// coefficient capacity — the per-epoch policy path calls it once per
-// group with a scratch Entry and performs no steady-state allocations.
+// ProjectionInto copies the entry for k into out without its retained
+// samples — the fields the allocation policies and solver actually read
+// (bounds, curve, refit count) — reusing out's coefficient capacity: the
+// per-epoch policy path calls it once per group with a scratch Entry and
+// performs no steady-state allocations. Use Lookup when the sample
+// window is needed.
 //
 // ghlint:allocfree
 func (db *DB) ProjectionInto(k Key, out *Entry) error {
@@ -227,7 +181,7 @@ func (db *DB) AddTrainingRun(k Key, idleW, peakEffW float64, samples []fit.Sampl
 		Samples:  append([]fit.Sample(nil), samples...),
 		Curve:    curve,
 	}
-	db.trim(e)
+	trim(e)
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -253,7 +207,7 @@ func (db *DB) AddFeedback(k Key, samples ...fit.Sample) error {
 	// of (old ++ incoming), which is exactly what append-then-trim kept,
 	// without reallocating the sample slice every epoch.
 	incoming := samples
-	over := len(e.Samples) + len(incoming) - db.maxSamples
+	over := len(e.Samples) + len(incoming) - maxSamples
 	if over > 0 {
 		if over >= len(e.Samples) {
 			incoming = incoming[over-len(e.Samples):]
@@ -305,8 +259,8 @@ func (db *DB) AddFeedback(k Key, samples ...fit.Sample) error {
 }
 
 // trim evicts the oldest samples beyond maxSamples, shifting in place.
-func (db *DB) trim(e *Entry) {
-	if over := len(e.Samples) - db.maxSamples; over > 0 {
+func trim(e *Entry) {
+	if over := len(e.Samples) - maxSamples; over > 0 {
 		n := copy(e.Samples, e.Samples[over:])
 		e.Samples = e.Samples[:n]
 	}
@@ -363,7 +317,7 @@ type snapshot struct {
 // Save writes the database as JSON.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
-	snap := snapshot{MaxSamples: db.maxSamples, Entries: make([]Entry, 0, len(db.entries))}
+	snap := snapshot{MaxSamples: maxSamples, Entries: make([]Entry, 0, len(db.entries))}
 	for _, k := range db.keysLocked() {
 		snap.Entries = append(snap.Entries, copyEntry(db.entries[k]))
 	}
@@ -453,36 +407,19 @@ func decodeSnapshot(r io.Reader) (snapshot, error) {
 	return snap, nil
 }
 
-// Load reads a database written by Save, rejecting duplicate keys,
-// non-positive maxSamples, and non-finite coefficients or samples.
-func Load(r io.Reader) (*DB, error) {
-	snap, err := decodeSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	db := New(WithMaxSamples(snap.MaxSamples))
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for i := range snap.Entries {
-		e := snap.Entries[i]
-		db.entries[e.Key] = &e
-	}
-	return db, nil
-}
-
 // RestoreFrom replaces the database's entries from a snapshot written
 // by Save — crash recovery into a DB already shared with a controller.
 // The snapshot is fully validated first, so on error the DB is
-// untouched. The snapshot's maxSamples must equal the DB's: that field
-// is immutable by design (trim reads it unlocked), and a mismatch means
-// the snapshot belongs to a differently-configured deployment.
+// untouched. The snapshot's maxSamples must equal the package's cap: a
+// mismatch means the snapshot was written by a build with another
+// window, whose entries this one would trim differently.
 func (db *DB) RestoreFrom(r io.Reader) error {
 	snap, err := decodeSnapshot(r)
 	if err != nil {
 		return err
 	}
-	if snap.MaxSamples != db.maxSamples {
-		return fmt.Errorf("%w: snapshot maxSamples %d, database %d", ErrBadEntry, snap.MaxSamples, db.maxSamples)
+	if snap.MaxSamples != maxSamples {
+		return fmt.Errorf("%w: snapshot maxSamples %d, database %d", ErrBadEntry, snap.MaxSamples, maxSamples)
 	}
 	entries := make(map[Key]*Entry, len(snap.Entries))
 	for i := range snap.Entries {

@@ -2,7 +2,9 @@ package profiledb
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -94,8 +96,8 @@ func TestLinearFallbackWithFewSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Curve.Degree() != 1 {
-		t.Errorf("degree = %d, want linear fallback", e.Curve.Degree())
+	if len(e.Curve.Coeffs) != 2 {
+		t.Errorf("coefficients = %v, want a linear fallback", e.Curve.Coeffs)
 	}
 }
 
@@ -151,9 +153,9 @@ func TestFeedbackEmptyIsNoop(t *testing.T) {
 }
 
 func TestSampleWindowEviction(t *testing.T) {
-	db := New(WithMaxSamples(10))
+	db := New()
 	mustTrain(t, db, testKey)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxSamples/4+2; i++ {
 		if err := db.AddFeedback(testKey, trainingSamples(4, 0.01, int64(i))...); err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +164,8 @@ func TestSampleWindowEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Samples) != 10 {
-		t.Errorf("retained %d samples, want 10", len(e.Samples))
+	if len(e.Samples) != maxSamples {
+		t.Errorf("retained %d samples, want %d", len(e.Samples), maxSamples)
 	}
 }
 
@@ -203,11 +205,23 @@ func TestKeysSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := db.Keys()
+	// Save writes entries in key order, so a snapshot does not depend on
+	// map iteration.
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
 	want := []Key{{ServerID: "a", WorkloadID: "x"}, {ServerID: "a", WorkloadID: "z"}, {ServerID: "b", WorkloadID: "y"}}
+	if len(snap.Entries) != len(want) {
+		t.Fatalf("saved %d entries, want %d", len(snap.Entries), len(want))
+	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Keys() = %v, want %v", got, want)
+		if snap.Entries[i].Key != want[i] {
+			t.Fatalf("saved entry %d key %v, want %v", i, snap.Entries[i].Key, want[i])
 		}
 	}
 	if db.Len() != 3 {
@@ -216,7 +230,7 @@ func TestKeysSorted(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	db := New(WithMaxSamples(32))
+	db := New()
 	mustTrain(t, db, testKey)
 	other := Key{ServerID: "i5-4460", WorkloadID: "memcached"}
 	if err := db.AddTrainingRun(other, 47, 62, []fit.Sample{{X: 48, Y: 10}, {X: 55, Y: 40}, {X: 60, Y: 55}, {X: 62, Y: 60}}); err != nil {
@@ -226,8 +240,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
-	if err != nil {
+	got := New()
+	if err := got.RestoreFrom(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 2 {
@@ -249,10 +263,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsBadData(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not json"))); err == nil {
+	if err := New().RestoreFrom(bytes.NewReader([]byte("not json"))); err == nil {
 		t.Error("bad json should error")
 	}
-	if _, err := Load(bytes.NewReader([]byte(`{"entries":[{"key":{}}]}`))); !errors.Is(err, ErrBadEntry) {
+	if err := New().RestoreFrom(bytes.NewReader([]byte(`{"entries":[{"key":{}}]}`))); !errors.Is(err, ErrBadEntry) {
 		t.Errorf("empty key err = %v", err)
 	}
 }
@@ -303,7 +317,7 @@ func TestConcurrentAccess(t *testing.T) {
 					if e, err := db.Lookup(k); err == nil {
 						_ = e.Predict(100)
 					}
-					_ = db.Keys()
+					_ = db.Save(io.Discard)
 				}
 			}
 		}()

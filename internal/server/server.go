@@ -290,12 +290,3 @@ func (r *Rack) PeakW() float64 {
 	}
 	return w
 }
-
-// IdleW is the aggregate idle power demand of the rack.
-func (r *Rack) IdleW() float64 {
-	var w float64
-	for _, g := range r.groups {
-		w += g.Spec.IdleW * float64(g.Count)
-	}
-	return w
-}

@@ -203,10 +203,6 @@ func TestNewRack(t *testing.T) {
 	if got := r.PeakW(); got != wantPeak {
 		t.Errorf("PeakW = %v, want %v", got, wantPeak)
 	}
-	wantIdle := 5*88.0 + 5*47.0
-	if got := r.IdleW(); got != wantIdle {
-		t.Errorf("IdleW = %v, want %v", got, wantIdle)
-	}
 }
 
 func TestNewRackOrdering(t *testing.T) {

@@ -78,10 +78,9 @@ type Config struct {
 	GroupWorkloads []workload.Workload
 	// Policy allocates power (Table III).
 	Policy policy.Policy
-	// Solar is the renewable generation trace; one sample per epoch.
+	// Solar is the renewable generation trace; one sample per epoch,
+	// starting at epoch 0.
 	Solar *trace.Trace
-	// StartEpoch offsets into the solar trace.
-	StartEpoch int
 	// Epochs is the number of scheduling epochs to simulate.
 	Epochs int
 	// GridBudgetW caps grid draw (paper default 1000 W).
@@ -100,9 +99,6 @@ type Config struct {
 	Intensity IntensityFunc
 	// Seed drives measurement noise (same seed → same observations).
 	Seed int64
-	// ProfileSamples is the number of training-run samples (the paper
-	// profiles every 2 minutes for 10 minutes → 5; default 5).
-	ProfileSamples int
 	// TrainingNoise multiplies the workload's measurement noise during
 	// training runs (default 3): the paper notes "the information from
 	// the profiling data is limited in the training run and can be less
@@ -115,22 +111,20 @@ type Config struct {
 	// initializes the battery to its maximal state, §V-B.1); use the
 	// DoD floor to study the drained-battery regime of Figs. 9/10/12.
 	InitialSoC float64
-	// FeedbackSamples is how many runtime samples feed the database per
-	// epoch under adaptive policies (default 2).
-	FeedbackSamples int
-	// DB, if non-nil, is used (and mutated) instead of a fresh
-	// database — lets experiments pre-train or share state.
-	DB *profiledb.DB
-	// Alpha and Beta fix the controller's Holt smoothing parameters
-	// (zero values mean the controller defaults). The predictor
-	// ablation sets Alpha=1, Beta≈0 to emulate a naive last-value
-	// predictor.
-	Alpha, Beta float64
 	// PredictorFactory, when set, builds the controller's predictors
-	// (called twice: renewable, then demand) — e.g. the Holt-Winters
-	// seasonal extension. Overrides Alpha/Beta.
+	// (called twice: renewable, then demand) in place of the default
+	// Holt smoothers — e.g. the predictor ablation's naive, trained-Holt
+	// and seasonal Holt-Winters variants.
 	PredictorFactory func() timeseries.Predictor
 }
+
+// profileSamples is the number of training-run samples: the paper
+// profiles every 2 minutes for 10 minutes (§IV-B.5).
+const profileSamples = 5
+
+// feedbackSamples is how many runtime samples feed the database per
+// group and epoch under adaptive policies.
+const feedbackSamples = 2
 
 // ErrBadConfig is returned by Run for invalid configurations.
 var ErrBadConfig = errors.New("sim: bad config")
@@ -146,8 +140,6 @@ func (c *Config) withDefaults() (Config, error) {
 		return out, fmt.Errorf("%w: nil solar trace", ErrBadConfig)
 	case out.Epochs < 1:
 		return out, fmt.Errorf("%w: epochs %d", ErrBadConfig, out.Epochs)
-	case out.StartEpoch < 0:
-		return out, fmt.Errorf("%w: start epoch %d", ErrBadConfig, out.StartEpoch)
 	case out.GridBudgetW < 0 || math.IsNaN(out.GridBudgetW):
 		return out, fmt.Errorf("%w: grid budget %v", ErrBadConfig, out.GridBudgetW)
 	}
@@ -175,9 +167,6 @@ func (c *Config) withDefaults() (Config, error) {
 		perDay := int(24 * time.Hour / out.Solar.Step)
 		out.Intensity = DiurnalIntensity(perDay)
 	}
-	if out.ProfileSamples == 0 {
-		out.ProfileSamples = 5
-	}
 	if out.TrainingNoise == 0 {
 		out.TrainingNoise = 3
 	}
@@ -186,12 +175,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.InitialSoC < 0 || out.InitialSoC > 1 {
 		return out, fmt.Errorf("%w: initial SoC %v", ErrBadConfig, out.InitialSoC)
-	}
-	if out.FeedbackSamples == 0 {
-		out.FeedbackSamples = 2
-	}
-	if out.DB == nil {
-		out.DB = profiledb.New()
 	}
 	return out, nil
 }
@@ -316,7 +299,6 @@ func (r *Result) mean(f func(EpochResult) float64, keep func(EpochResult) bool) 
 // prober implements core.Prober over the hidden ground truth.
 type prober struct {
 	load          workload.Load
-	samples       int
 	trainingNoise float64
 	rng           *rand.Rand
 }
@@ -324,38 +306,14 @@ type prober struct {
 // TrainingRun profiles the pair across its power band at the current
 // intensity, as the ondemand governor sweeps with load (Fig. 7).
 func (p *prober) TrainingRun(spec server.Spec, w workload.Workload) (core.TrainingResult, error) {
-	if p.samples < 2 {
-		return core.TrainingResult{}, fmt.Errorf("sim: profile samples %d", p.samples)
-	}
 	pl := workload.NewPlant(spec, w)
-	peakEff := pl.PeakEffW(p.load)
-	res := core.TrainingResult{Samples: make([]fit.Sample, 0, p.samples)}
-	for i := 0; i < p.samples; i++ {
-		frac := float64(i) / float64(p.samples-1)
-		pw := spec.IdleW + 1 + frac*(peakEff-spec.IdleW-1)
-		s := measureAt(pw, pl.Perf(pw, p.load), p.trainingNoise, pl.Noise(), p.rng)
-		res.Samples = append(res.Samples, s)
+	res := core.TrainingResult{Samples: pl.Sweep(p.load, profileSamples, p.trainingNoise, p.rng)}
+	for _, s := range res.Samples {
 		if s.X > res.PeakEffW {
 			res.PeakEffW = s.X
 		}
 	}
 	return res, nil
-}
-
-// measureAt is one noisy observation at power pw of a surface whose
-// truth there is perf, with the workload's relative noise σ. The noise
-// factor scales both axes: short training windows blur the power meter
-// as much as the throughput counter.
-func measureAt(pw, perf, noiseFactor, noise float64, rng *rand.Rand) fit.Sample {
-	perfNoisy := perf * (1 + noiseFactor*noise*rng.NormFloat64())
-	if perfNoisy < 0 {
-		perfNoisy = 0
-	}
-	powerNoisy := pw * (1 + noiseFactor*0.01*rng.NormFloat64())
-	if powerNoisy < 0 {
-		powerNoisy = 0
-	}
-	return fit.Sample{X: powerNoisy, Y: perfNoisy}
 }
 
 // Session is a stepwise simulation: one call to Step advances one
@@ -364,6 +322,8 @@ func measureAt(pw, perf, noiseFactor, noise float64, rng *rand.Rand) fit.Sample 
 // serialize access (the daemon holds a mutex).
 type Session struct {
 	cfg Config
+	// db is the session's own performance-power database.
+	db *profiledb.DB
 	// src is rng's underlying source; its draw counter is what lets
 	// ExportState pin — and RestoreState reproduce — the exact RNG
 	// stream position.
@@ -387,11 +347,9 @@ type Session struct {
 	// crowds under chaos); 1 leaves the pattern bit-untouched.
 	intensityScale float64
 
-	// fbMap and fbBufs are Step's reusable feedback staging: the
-	// database copies samples out inside Feedback, so the map and
-	// per-group slices are safe to recycle every epoch instead of
-	// reallocating.
-	fbMap  map[int][]fit.Sample
+	// fbBufs is Step's reusable feedback staging, one slice per group:
+	// the database copies samples out inside Feedback, so the slices are
+	// safe to recycle every epoch instead of reallocating.
 	fbBufs [][]fit.Sample
 }
 
@@ -417,6 +375,7 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 	s := &Session{
 		cfg:            c,
+		db:             profiledb.New(),
 		src:            src,
 		rng:            rng,
 		bank:           bank,
@@ -431,7 +390,6 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 	s.pb = &prober{
 		load:          workload.NewLoad(c.Intensity(0)),
-		samples:       c.ProfileSamples,
 		trainingNoise: c.TrainingNoise,
 		rng:           rng,
 	}
@@ -442,15 +400,13 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 	coreCfg := core.Config{
 		Rack:          c.Rack,
-		DB:            c.DB,
+		DB:            s.db,
 		Policy:        c.Policy,
 		Battery:       store,
 		GridBudgetW:   c.GridBudgetW,
 		Epoch:         c.Solar.Step,
 		Prober:        s.pb,
 		TryAllocation: tryAllocation,
-		Alpha:         c.Alpha,
-		Beta:          c.Beta,
 	}
 	if c.PredictorFactory != nil {
 		coreCfg.RenewablePredictor = c.PredictorFactory()
@@ -478,7 +434,7 @@ func (s *Session) Done() bool { return s.epoch >= s.cfg.Epochs }
 func (s *Session) Bank() *battery.Bank { return s.bank }
 
 // DB exposes the session's performance-power database.
-func (s *Session) DB() *profiledb.DB { return s.cfg.DB }
+func (s *Session) DB() *profiledb.DB { return s.db }
 
 // Policy reports the active policy name.
 func (s *Session) Policy() string { return s.cfg.Policy.Name() }
@@ -492,7 +448,7 @@ func (s *Session) EpochHours() float64 { return s.cfg.Solar.Step.Hours() }
 // Step advances one scheduling epoch and returns its outcome. The
 // renewable power comes from the session's own solar trace.
 func (s *Session) Step() (EpochResult, error) {
-	return s.step(s.cfg.Solar.At(s.cfg.StartEpoch + s.epoch))
+	return s.step(s.cfg.Solar.At(s.epoch))
 }
 
 // SkipEpoch advances the epoch counter without simulating anything — a
@@ -584,12 +540,9 @@ func (s *Session) step(renewable float64) (EpochResult, error) {
 		Fractions:   dec.Fractions,
 		TrainingRun: dec.TrainingRun,
 	}
-	if s.fbMap == nil {
-		s.fbMap = make(map[int][]fit.Sample, len(s.groups))
+	if s.fbBufs == nil {
 		s.fbBufs = make([][]fit.Sample, len(s.groups))
 	}
-	clear(s.fbMap)
-	feedback := s.fbMap
 	for i := range s.groups {
 		count := float64(s.groups[i].Count)
 		pl := &s.plants[i]
@@ -614,18 +567,17 @@ func (s *Session) step(renewable float64) (EpochResult, error) {
 		// power), not the budget it was granted: in abundant
 		// epochs that is the workload's true saturation point,
 		// which is how the database's validity range tracks load.
+		fs := s.fbBufs[i][:0]
 		if usedPerServer > 0 {
-			fs := s.fbBufs[i][:0]
-			for smp := 0; smp < c.FeedbackSamples; smp++ {
-				fs = append(fs, measureAt(usedPerServer, perf, 1, pl.Noise(), s.rng))
+			for smp := 0; smp < feedbackSamples; smp++ {
+				fs = append(fs, workload.Measure(usedPerServer, perf, 1, pl.Noise(), s.rng))
 			}
-			s.fbBufs[i] = fs
-			feedback[i] = fs
 		}
+		s.fbBufs[i] = fs
 	}
 	er.EPU = metrics.EPU(er.UsedW, er.SupplyW)
 
-	if err := s.ctrl.Feedback(c.GroupWorkloads, feedback); err != nil {
+	if err := s.ctrl.Feedback(c.GroupWorkloads, s.fbBufs); err != nil {
 		return EpochResult{}, fmt.Errorf("sim: epoch %d feedback: %w", e, err)
 	}
 	s.prevDemand = er.DemandW
@@ -732,7 +684,6 @@ func CompareParallel(cfg Config, policies []policy.Policy, parallelism int) (map
 		p := policies[i]
 		c := cfg
 		c.Policy = p
-		c.DB = nil // fresh database per policy: no cross-contamination
 		r, err := Run(c)
 		if err != nil {
 			return nil, fmt.Errorf("sim: policy %s: %w", p.Name(), err)

@@ -86,7 +86,6 @@ func TestRunValidation(t *testing.T) {
 		{"nil policy", func(c *Config) { c.Policy = nil }},
 		{"nil solar", func(c *Config) { c.Solar = nil }},
 		{"zero epochs", func(c *Config) { c.Epochs = 0 }},
-		{"negative start", func(c *Config) { c.StartEpoch = -1 }},
 		{"negative grid", func(c *Config) { c.GridBudgetW = -1 }},
 		{"NaN grid", func(c *Config) { c.GridBudgetW = math.NaN() }},
 		{"empty workload", func(c *Config) { c.Workload = workload.Workload{} }},

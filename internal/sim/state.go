@@ -121,7 +121,7 @@ func (s *Session) ExportState() (*State, error) {
 		return nil, fmt.Errorf("sim: export: %w", err)
 	}
 	var db bytes.Buffer
-	if err := s.cfg.DB.Save(&db); err != nil {
+	if err := s.db.Save(&db); err != nil {
 		return nil, fmt.Errorf("sim: export: %w", err)
 	}
 	st := &State{
@@ -173,7 +173,7 @@ func (s *Session) RestoreState(st *State) error {
 		return fmt.Errorf("%w: snapshot external=%v but session external=%v (battery ownership mismatch)",
 			ErrBadState, st.External, s.bank == nil)
 	}
-	if err := s.cfg.DB.RestoreFrom(bytes.NewReader(st.DB)); err != nil {
+	if err := s.db.RestoreFrom(bytes.NewReader(st.DB)); err != nil {
 		return fmt.Errorf("sim: restore database: %w", err)
 	}
 	if s.bank != nil {

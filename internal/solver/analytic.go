@@ -15,9 +15,8 @@ import (
 // saturated, pinned at idle, or shut off entirely).
 //
 // The grid search in Optimize remains the production path — it handles
-// three groups and arbitrary projection shapes — but the analytic solver
-// provides an independent oracle the tests cross-check it against, and a
-// fast path for the common two-group rack.
+// three groups and arbitrary projection shapes — and the analytic solver
+// is an independent oracle the tests cross-check it against.
 
 // QuadraticModel is a group whose per-server projection is an explicit
 // quadratic perf(p) = A + B·p + C·p² on [IdleW, PeakEffW], zero below
@@ -44,9 +43,17 @@ func (m QuadraticModel) eval(p float64) float64 {
 	return v
 }
 
+// validate rejects NaN bounds with negated comparisons, as the package's
+// validate does, and non-finite coefficients, which would turn every
+// candidate's throughput into NaN or ±Inf.
 func (m QuadraticModel) validate(i int) error {
-	if m.Count < 1 || m.IdleW <= 0 || m.PeakEffW <= m.IdleW {
+	if m.Count < 1 || !(m.IdleW > 0) || !(m.PeakEffW > m.IdleW) {
 		return fmt.Errorf("%w: group %d: %+v", ErrBadModel, i, m)
+	}
+	for _, c := range []float64{m.A, m.B, m.C} {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("%w: group %d: non-finite coefficient in %+v", ErrBadModel, i, m)
+		}
 	}
 	return nil
 }
@@ -60,7 +67,7 @@ var ErrNotConcave = errors.New("solver: projection not concave (C > 0)")
 // count₁·p₁ + count₂·p₂ ≤ supplyW by enumerating the KKT candidates.
 // It returns the same Result shape as Optimize (fractions of supply).
 func OptimizeQuadratic2(m1, m2 QuadraticModel, supplyW float64) (Result, error) {
-	if supplyW <= 0 {
+	if !(supplyW > 0) {
 		return Result{}, fmt.Errorf("%w: %v", ErrBadSupply, supplyW)
 	}
 	if err := m1.validate(0); err != nil {

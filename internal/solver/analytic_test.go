@@ -2,6 +2,7 @@ package solver
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -30,18 +31,34 @@ func caseStudyModels() (QuadraticModel, QuadraticModel) {
 
 func TestOptimizeQuadratic2Validation(t *testing.T) {
 	m1, m2 := caseStudyModels()
-	if _, err := OptimizeQuadratic2(m1, m2, 0); !errors.Is(err, ErrBadSupply) {
-		t.Errorf("zero supply err = %v", err)
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name    string
+		mut     func(*QuadraticModel)
+		supplyW float64
+		want    error
+	}{
+		{"zero supply", nil, 0, ErrBadSupply},
+		{"nan supply", nil, nan, ErrBadSupply},
+		{"bad count", func(m *QuadraticModel) { m.Count = 0 }, 200, ErrBadModel},
+		{"nan idle", func(m *QuadraticModel) { m.IdleW = nan }, 200, ErrBadModel},
+		{"nan peak", func(m *QuadraticModel) { m.PeakEffW = nan }, 200, ErrBadModel},
+		{"nan A", func(m *QuadraticModel) { m.A = nan }, 200, ErrBadModel},
+		{"inf B", func(m *QuadraticModel) { m.B = inf }, 200, ErrBadModel},
+		{"nan C", func(m *QuadraticModel) { m.C = nan }, 200, ErrBadModel},
+		{"-inf C", func(m *QuadraticModel) { m.C = -inf }, 200, ErrBadModel},
+		{"convex", func(m *QuadraticModel) { m.C = 0.5 }, 200, ErrNotConcave},
 	}
-	bad := m1
-	bad.Count = 0
-	if _, err := OptimizeQuadratic2(bad, m2, 200); !errors.Is(err, ErrBadModel) {
-		t.Errorf("bad count err = %v", err)
-	}
-	convex := m1
-	convex.C = 0.5
-	if _, err := OptimizeQuadratic2(convex, m2, 200); !errors.Is(err, ErrNotConcave) {
-		t.Errorf("convex err = %v", err)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			bad := m1
+			if tt.mut != nil {
+				tt.mut(&bad)
+			}
+			if res, err := OptimizeQuadratic2(bad, m2, tt.supplyW); !errors.Is(err, tt.want) {
+				t.Errorf("OptimizeQuadratic2 = %+v, %v, want %v", res, err, tt.want)
+			}
+		})
 	}
 }
 

@@ -416,8 +416,8 @@ func TestAgentOversizedLine(t *testing.T) {
 	if resp.OK || !strings.Contains(resp.Error, "exceeds") {
 		t.Errorf("response = %+v, want line-limit error", resp)
 	}
-	if err := Ping(context.Background(), a.Addr(), time.Second); err != nil {
-		t.Errorf("agent dead after oversized line: %v", err)
+	if resp, err := roundTrip(context.Background(), a.Addr(), request{Op: "ping"}, time.Second); err != nil || !resp.OK {
+		t.Errorf("agent dead after oversized line: %+v, %v", resp, err)
 	}
 }
 

@@ -807,15 +807,3 @@ func roundTrip(ctx context.Context, addr string, req request, timeout time.Durat
 	}
 	return resp, nil
 }
-
-// Ping checks one agent's liveness.
-func Ping(ctx context.Context, addr string, timeout time.Duration) error {
-	resp, err := roundTrip(ctx, addr, request{Op: "ping"}, timeout)
-	if err != nil {
-		return fmt.Errorf("telemetry: ping %s: %w", addr, err)
-	}
-	if !resp.OK {
-		return fmt.Errorf("telemetry: ping %s: %s", addr, resp.Error)
-	}
-	return nil
-}

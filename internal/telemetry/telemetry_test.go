@@ -157,10 +157,11 @@ func TestNewCollectorValidation(t *testing.T) {
 
 func TestPing(t *testing.T) {
 	a := startAgent(t, fixedSampler("x", 1, 1))
-	if err := Ping(context.Background(), a.Addr(), time.Second); err != nil {
-		t.Errorf("ping: %v", err)
+	resp, err := roundTrip(context.Background(), a.Addr(), request{Op: "ping"}, time.Second)
+	if err != nil || !resp.OK {
+		t.Errorf("ping: %+v, %v", resp, err)
 	}
-	if err := Ping(context.Background(), "127.0.0.1:1", 200*time.Millisecond); err == nil {
+	if _, err := roundTrip(context.Background(), "127.0.0.1:1", request{Op: "ping"}, 200*time.Millisecond); err == nil {
 		t.Error("ping to closed port should fail")
 	}
 }
@@ -287,7 +288,7 @@ func TestAgentSurvivesGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The agent still serves real clients.
-	if err := Ping(context.Background(), a.Addr(), time.Second); err != nil {
-		t.Errorf("agent dead after garbage: %v", err)
+	if resp, err := roundTrip(context.Background(), a.Addr(), request{Op: "ping"}, time.Second); err != nil || !resp.OK {
+		t.Errorf("agent dead after garbage: %+v, %v", resp, err)
 	}
 }

@@ -68,12 +68,6 @@ func NewHolt(alpha, beta float64) (*Holt, error) {
 	return &Holt{alpha: alpha, beta: beta}, nil
 }
 
-// Alpha reports the level smoothing parameter.
-func (h *Holt) Alpha() float64 { return h.alpha }
-
-// Beta reports the trend smoothing parameter.
-func (h *Holt) Beta() float64 { return h.beta }
-
 // Observe feeds one observation Oₜ from the Monitor into the smoother.
 //
 // ghlint:allocfree
@@ -100,23 +94,6 @@ func (h *Holt) Forecast() (float64, error) {
 		return 0, ErrNotPrimed
 	}
 	return h.level + h.trend, nil
-}
-
-// ForecastN returns the k-step-ahead prediction Sₜ + k·Bₜ (linear trend
-// extrapolation), k ≥ 1.
-func (h *Holt) ForecastN(k int) (float64, error) {
-	if h.primed < 2 {
-		return 0, ErrNotPrimed
-	}
-	if k < 1 {
-		return 0, fmt.Errorf("timeseries: forecast horizon %d < 1", k)
-	}
-	return h.level + float64(k)*h.trend, nil
-}
-
-// Reset clears observed state, keeping (α, β).
-func (h *Holt) Reset() {
-	h.level, h.trend, h.primed = 0, 0, 0
 }
 
 // SSE replays history through a fresh smoother with parameters (α, β) and

@@ -74,44 +74,6 @@ func TestLinearTrendIsExact(t *testing.T) {
 	}
 }
 
-func TestForecastN(t *testing.T) {
-	h, err := NewHolt(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Observe(10)
-	h.Observe(13) // level=13, trend=3 with α=β=1
-	tests := []struct {
-		k    int
-		want float64
-	}{{1, 16}, {2, 19}, {5, 28}}
-	for _, tt := range tests {
-		got, err := h.ForecastN(tt.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("ForecastN(%d) = %v, want %v", tt.k, got, tt.want)
-		}
-	}
-	if _, err := h.ForecastN(0); err == nil {
-		t.Error("ForecastN(0) should error")
-	}
-}
-
-func TestReset(t *testing.T) {
-	h, err := NewHolt(0.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Observe(1)
-	h.Observe(2)
-	h.Reset()
-	if _, err := h.Forecast(); !errors.Is(err, ErrNotPrimed) {
-		t.Errorf("after Reset: err = %v, want ErrNotPrimed", err)
-	}
-}
-
 func TestTrainRecoversGoodParams(t *testing.T) {
 	// Noisy ramp: trained predictor should beat a naive last-value
 	// predictor on one-step-ahead SSE.

@@ -49,9 +49,6 @@ func NewHoltWinters(alpha, beta, gamma float64, period int) (*HoltWinters, error
 	}, nil
 }
 
-// Period reports the season length.
-func (h *HoltWinters) Period() int { return h.period }
-
 // Observe feeds one observation. The first season initializes the
 // seasonal indices around the running mean; smoothing begins afterwards.
 //

@@ -30,8 +30,8 @@ func TestNewHoltWintersValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Period() != 96 {
-		t.Errorf("period = %d", h.Period())
+	if h.period != 96 {
+		t.Errorf("period = %d", h.period)
 	}
 }
 

@@ -45,9 +45,9 @@ func TestHoltSnapshotRoundTrip(t *testing.T) {
 		a.Observe(o)
 		b.Observe(o)
 	}
-	fa, _ = a.ForecastN(3)
-	fb, _ = b.ForecastN(3)
-	if !bitsEq(fa, fb) {
+	fa, _ = a.Forecast()
+	fb, _ = b.Forecast()
+	if !bitsEq(fa, fb) || !bitsEq(a.trend, b.trend) {
 		t.Errorf("post-restore streams diverged: %v vs %v", fb, fa)
 	}
 }

@@ -75,14 +75,6 @@ func (t *Trace) At(i int) float64 {
 	return t.Values[i]
 }
 
-// Slice returns a sub-trace covering samples [from, to).
-func (t *Trace) Slice(from, to int) (*Trace, error) {
-	if from < 0 || to > len(t.Values) || from > to {
-		return nil, fmt.Errorf("trace: slice [%d, %d) out of range 0..%d", from, to, len(t.Values))
-	}
-	return New(t.Name, t.TimeAt(from), t.Step, t.Values[from:to])
-}
-
 // Stats summarizes a trace.
 type Stats struct {
 	Min, Max, Mean float64

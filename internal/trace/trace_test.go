@@ -66,26 +66,6 @@ func TestAtClamping(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	tr := mustNew(t, []float64{0, 1, 2, 3, 4, 5})
-	sub, err := tr.Slice(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Len() != 3 || sub.Values[0] != 2 {
-		t.Errorf("Slice = %+v", sub.Values)
-	}
-	if !sub.Start.Equal(t0.Add(30 * time.Minute)) {
-		t.Errorf("Slice start = %v", sub.Start)
-	}
-	if _, err := tr.Slice(4, 2); err == nil {
-		t.Error("inverted slice should error")
-	}
-	if _, err := tr.Slice(0, 99); err == nil {
-		t.Error("overflow slice should error")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	tr := mustNew(t, []float64{4, -2, 10})
 	s, err := tr.Summarize()

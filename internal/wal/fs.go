@@ -85,9 +85,6 @@ func NewDirFS(dir string) (*DirFS, error) {
 	return &DirFS{dir: dir}, nil
 }
 
-// Dir reports the root directory.
-func (fs *DirFS) Dir() string { return fs.dir }
-
 func (fs *DirFS) path(name string) (string, error) {
 	if err := checkName(name); err != nil {
 		return "", err

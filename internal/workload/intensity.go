@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"greenhetero/internal/server"
@@ -20,9 +19,6 @@ import (
 // the shift of peakEff over the day is what makes the paper's runtime
 // database updates (Algorithm 1 lines 8–10) worthwhile: projections
 // profiled at one intensity drift as the load moves.
-
-// ErrBadIntensity is returned for intensities outside (0, 1].
-var ErrBadIntensity = fmt.Errorf("workload: intensity outside (0, 1]")
 
 // ValidIntensity reports whether i is usable.
 //

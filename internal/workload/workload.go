@@ -3,7 +3,7 @@
 // response surface that stands in for real hardware.
 //
 // The GreenHetero controller never reads these surfaces directly: it sees
-// only noisy profiled samples (Sample), fits its own quadratic
+// only noisy profiled samples (Measure, Sweep), fits its own quadratic
 // projections, and optimizes against those — exactly as the paper's
 // prototype profiles real servers with external power meters. The
 // simulator, in contrast, evaluates policies on the hidden truth.
@@ -24,11 +24,11 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 
+	"greenhetero/internal/fit"
 	"greenhetero/internal/server"
 )
 
@@ -92,9 +92,6 @@ type Workload struct {
 	// noise is the relative σ of profiled performance measurements.
 	noise float64
 }
-
-// Gamma reports the response concavity parameter.
-func (w Workload) Gamma() float64 { return w.gamma }
 
 // GPUCapable reports whether the workload has a GPU implementation.
 func (w Workload) GPUCapable() bool { return w.gpuSpeedup > 0 }
@@ -270,58 +267,37 @@ func UsedPowerW(s server.Spec, w Workload, powerW float64) float64 {
 	return UsedPowerWAt(s, w, powerW, 1)
 }
 
-// Sample is one profiled (power, performance) observation as the Monitor
-// would report it: the ground truth perturbed by measurement noise.
-type Sample struct {
-	PowerW float64
-	Perf   float64
-}
-
-// ErrNoRNG is returned when Profile is called without a random source.
-var ErrNoRNG = errors.New("workload: nil RNG")
-
-// Profile generates n noisy profiling samples for (s, w) spread across
-// the controllable power range, emulating the paper's 2-minute training
-// run measurements. Noise is multiplicative Gaussian with the workload's
-// σ on performance and 1 % on power metering.
-func Profile(s server.Spec, w Workload, n int, rng *rand.Rand) ([]Sample, error) {
-	if rng == nil {
-		return nil, ErrNoRNG
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("workload: need ≥2 samples, got %d", n)
-	}
-	peakEff := PeakEffW(s, w)
-	out := make([]Sample, 0, n)
-	for i := 0; i < n; i++ {
-		// Sweep from just above idle to effective peak.
-		frac := float64(i) / float64(n-1)
-		p := s.IdleW + 1 + frac*(peakEff-s.IdleW-1)
-		out = append(out, MeasureAt(s, w, p, rng))
-	}
-	return out, nil
-}
-
-// MeasureAt returns one noisy observation of (s, w) at allocated power p.
-func MeasureAt(s server.Spec, w Workload, p float64, rng *rand.Rand) Sample {
-	perf := Perf(s, w, p)
-	perfNoisy := perf * (1 + w.noise*rng.NormFloat64())
+// Measure is one noisy Monitor observation at power pw of a surface
+// whose truth there is perf, with the workload's relative noise sigma:
+// multiplicative Gaussian noise of noiseFactor·sigma on performance,
+// drawn first, then of noiseFactor·1 % on the power meter. The noise
+// factor scales both axes: short training windows blur the power meter
+// as much as the throughput counter.
+func Measure(pw, perf, noiseFactor, sigma float64, rng *rand.Rand) fit.Sample {
+	perfNoisy := perf * (1 + noiseFactor*sigma*rng.NormFloat64())
 	if perfNoisy < 0 {
 		perfNoisy = 0
 	}
-	powerNoisy := p * (1 + 0.01*rng.NormFloat64())
+	powerNoisy := pw * (1 + noiseFactor*0.01*rng.NormFloat64())
 	if powerNoisy < 0 {
 		powerNoisy = 0
 	}
-	return Sample{PowerW: powerNoisy, Perf: perfNoisy}
+	return fit.Sample{X: powerNoisy, Y: perfNoisy}
 }
 
-// EnergyEfficiency returns throughput per watt at the workload's
-// effective peak — the ranking key used by the GreenHetero-p policy.
-func EnergyEfficiency(s server.Spec, w Workload) float64 {
-	peakEff := PeakEffW(s, w)
-	if peakEff <= 0 {
-		return 0
+// Sweep is a training run's measurements (Fig. 7): n noisy samples of
+// the surface under load l, evenly spaced from just above idle to the
+// effective peak, each taken by Measure with the given noise factor.
+func (p *Plant) Sweep(l Load, n int, noiseFactor float64, rng *rand.Rand) []fit.Sample {
+	peakEff := p.PeakEffW(l)
+	// A one-sample sweep has one step, not zero: frac is then 0, never
+	// the NaN of 0/0.
+	steps := max(n-1, 1)
+	out := make([]fit.Sample, 0, n)
+	for i := 0; i < n; i++ {
+		frac := float64(i) / float64(steps)
+		pw := p.idleW + 1 + frac*(peakEff-p.idleW-1)
+		out = append(out, Measure(pw, p.Perf(pw, l), noiseFactor, p.noise, rng))
 	}
-	return Perf(s, w, peakEff) / peakEff
+	return out
 }

@@ -1,12 +1,12 @@
 package workload
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"greenhetero/internal/fit"
 	"greenhetero/internal/server"
 )
 
@@ -186,28 +186,26 @@ func TestUsedPowerW(t *testing.T) {
 func TestProfileSamples(t *testing.T) {
 	s := mustSpec(t, server.XeonE52620)
 	w := mustWorkload(t, SPECjbb)
+	pl := NewPlant(s, w)
+	full := NewLoad(1)
 	rng := rand.New(rand.NewSource(1))
-	samples, err := Profile(s, w, 5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := pl.Sweep(full, 5, 1, rng)
 	if len(samples) != 5 {
 		t.Fatalf("got %d samples, want 5", len(samples))
 	}
 	peakEff := PeakEffW(s, w)
 	for i, smp := range samples {
-		if smp.PowerW < 0 || smp.Perf < 0 {
+		if smp.X < 0 || smp.Y < 0 {
 			t.Errorf("sample %d negative: %+v", i, smp)
 		}
-		if smp.PowerW > peakEff*1.1 {
-			t.Errorf("sample %d power %v far above peakEff %v", i, smp.PowerW, peakEff)
+		if smp.X > peakEff*1.1 {
+			t.Errorf("sample %d power %v far above peakEff %v", i, smp.X, peakEff)
 		}
 	}
-	if _, err := Profile(s, w, 1, rng); err == nil {
-		t.Error("n=1 should error")
-	}
-	if _, err := Profile(s, w, 5, nil); !errors.Is(err, ErrNoRNG) {
-		t.Errorf("nil rng err = %v, want ErrNoRNG", err)
+	// A one-sample sweep measures just above idle, not at a NaN power.
+	one := pl.Sweep(full, 1, 1, rng)
+	if len(one) != 1 || math.IsNaN(one[0].X) || one[0].X > (s.IdleW+1)*1.1 {
+		t.Errorf("one-sample sweep = %+v, want one sample near %v W", one, s.IdleW+1)
 	}
 }
 
@@ -220,11 +218,22 @@ func TestMeasureAtTracksTruth(t *testing.T) {
 	var sum float64
 	const n = 2000
 	for i := 0; i < n; i++ {
-		sum += MeasureAt(s, w, p, rng).Perf
+		sum += Measure(p, truth, 1, w.Noise(), rng).Y
 	}
 	mean := sum / n
 	if math.Abs(mean-truth)/truth > 0.02 {
 		t.Errorf("noisy mean %v deviates from truth %v", mean, truth)
+	}
+
+	// The performance noise is drawn before the power noise, and the
+	// noise factor scales both: the simulator's recorded runs depend on
+	// this order.
+	ref := rand.New(rand.NewSource(3))
+	zPerf, zPower := ref.NormFloat64(), ref.NormFloat64()
+	got := Measure(p, truth, 3, w.Noise(), rand.New(rand.NewSource(3)))
+	want := fit.Sample{X: p * (1 + 3*0.01*zPower), Y: truth * (1 + 3*w.Noise()*zPerf)}
+	if got != want {
+		t.Errorf("Measure = %+v, want %+v", got, want)
 	}
 }
 
@@ -234,8 +243,10 @@ func TestEnergyEfficiencyOrdering(t *testing.T) {
 	a := mustSpec(t, server.XeonE52620)
 	b := mustSpec(t, server.CoreI54460)
 	w := mustWorkload(t, SPECjbb)
-	if EnergyEfficiency(b, w) <= EnergyEfficiency(a, w) {
-		t.Errorf("i5 efficiency %v ≤ Xeon %v", EnergyEfficiency(b, w), EnergyEfficiency(a, w))
+	effA := Perf(a, w, PeakEffW(a, w)) / PeakEffW(a, w)
+	effB := Perf(b, w, PeakEffW(b, w)) / PeakEffW(b, w)
+	if effB <= effA {
+		t.Errorf("i5 efficiency %v ≤ Xeon %v", effB, effA)
 	}
 }
 
