@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"greenhetero/internal/cluster"
 	"greenhetero/internal/experiments"
 	"greenhetero/internal/policy"
 	"greenhetero/internal/server"
@@ -170,6 +171,54 @@ func BenchmarkEpochComb1(b *testing.B) {
 // solver case (full 3-simplex grid).
 func BenchmarkEpochComb5(b *testing.B) {
 	benchEpochs(b, server.XeonE52620, server.XeonE52603, server.CoreI54460)
+}
+
+// BenchmarkFleetComb5 runs one day of a 64-rack fleet of three-group
+// Comb5 racks under the hierarchical-PAR site split, one fleet run per
+// iteration, and reports rack·epochs/sec (fleet set-up included). Unlike
+// the single-group storm racks, every rack step here runs the 3-group
+// PAR solve, so per-rack cost is uneven across the step barrier's
+// chunks.
+func BenchmarkFleetComb5(b *testing.B) {
+	const racks = 64
+	var groups []server.Group
+	for _, id := range []string{server.XeonE52620, server.XeonE52603, server.CoreI54460} {
+		spec, err := server.Lookup(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		groups = append(groups, server.Group{Spec: spec, Count: 5})
+	}
+	w, err := workload.Lookup(workload.SPECjbb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := cluster.Config{Allocator: cluster.HierarchicalPAR{}, SiteGridBudgetW: racks * 500, Seed: 7}
+	for i := 0; i < racks; i++ {
+		rack, err := server.NewRack(fmt.Sprintf("comb5-%02d", i), groups...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Racks = append(cfg.Racks, cluster.RackConfig{Rack: rack, Workload: w, Policy: policy.Solver{Adaptive: true}})
+	}
+	if cfg.Solar, err = solar.Generate(solar.Config{
+		Profile:   solar.High,
+		PeakWatts: racks * 1500,
+		Days:      1,
+		Step:      15 * time.Minute,
+		Seed:      1,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	cfg.Epochs = cfg.Solar.Len()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cluster.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N*racks*cfg.Epochs)/b.Elapsed().Seconds(), "rack-epochs/sec")
 }
 
 // BenchmarkFullEvaluation runs every registered experiment once per

@@ -10,11 +10,18 @@
 // allocation. This is a hierarchical version of the paper's PAR solve:
 // site-level split over rack bids, then the rack-local PAR as before.
 //
-// Determinism: racks step through runner.Map with a per-epoch barrier,
-// each rack's noise stream is derived via runner.DeriveSeed, bids and
-// weights are computed serially in rack order, and the shared bank is
-// settled in rack-index order after the barrier — so a fleet run is
-// bit-identical at every parallelism level.
+// Determinism: racks step through runner.For with a per-epoch barrier,
+// each rack's noise stream is derived via runner.DeriveSeed, weights are
+// computed serially in rack order, and the shared bank is settled in
+// rack-index order after the barrier — so a fleet run is bit-identical
+// at every parallelism level. Inside the barrier a worker touches only
+// the racks it claimed: right after a rack's step it commits the
+// checkpointed rack's state and computes the rack's next demand bid,
+// both functions of that rack's session alone. The bid is kept only
+// while nothing else can change the session: the next step task and a
+// WAL recovery both discard it, and the serial bid phase computes any
+// bid it lacks exactly as before, so where a bid is computed never
+// reaches the result.
 package cluster
 
 import (
@@ -475,6 +482,7 @@ func Run(cfg Config) (*FleetResult, error) {
 		weightsFull = make([]float64, n) // scattered to rack indexing
 		ghostBids   = make([]float64, n) // scratch: redistribution pricing
 		ghostW      = make([]float64, n)
+		outs        = make([]stepOutcome, n) // step slots, rewritten every epoch
 	)
 	capacityFrac := 1.0
 	for e := 0; e < cfg.Epochs; e++ {
@@ -524,6 +532,7 @@ func Run(cfg Config) (*FleetResult, error) {
 		// rack's in-memory session is notionally lost — before its next
 		// attempt it must restore from durable state.
 		if ck != nil && ckDirty && (mode[ckRack] == modeServe || mode[ckRack] == modeHeld) {
+			ctl[ckRack].bidFresh = false
 			if err := ck.Recover(e, sessions[ckRack]); err != nil {
 				mode[ckRack] = modeFail
 				failErr[ckRack] = fmt.Errorf("recover: %w", err)
@@ -535,20 +544,24 @@ func Run(cfg Config) (*FleetResult, error) {
 
 		// 2. Collect demand bids from the serving racks, serially in
 		// rack order, into a compact vector — a missing rack's absence
-		// here is what redistributes its share.
+		// here is what redistributes its share. A bid the rack's worker
+		// computed after its last step is used while still fresh.
 		var bidTotal float64
 		k := 0
 		for i, s := range sessions {
 			if mode[i] != modeServe {
 				continue
 			}
-			b, err := s.DemandBidW()
+			c := &ctl[i]
+			b, err := c.nextBidW, c.nextBidErr
+			if !c.bidFresh {
+				b, err = s.DemandBidW()
+			}
 			if err != nil {
 				mode[i] = modeFail
 				failErr[i] = fmt.Errorf("bid: %w", err)
 				continue
 			}
-			c := &ctl[i]
 			c.lastBidW = b
 			c.haveBid = true
 			idx[k] = i
@@ -639,9 +652,14 @@ func Run(cfg Config) (*FleetResult, error) {
 		}
 
 		// 5. Step the live racks in parallel (the per-epoch barrier).
-		// Worker i reads only its own rack's state and never returns an
-		// error: a failed step is an outcome, not an abort.
-		outs, err := runner.Map(cfg.Parallelism, n, func(i int) (stepOutcome, error) {
+		// Task i touches only rack i's session, control block and slot,
+		// and never returns an error: a failed step is an outcome, not
+		// an abort. A served rack then commits (the checkpointed rack)
+		// and bids for the next epoch while its state is cache-hot.
+		err := runner.For(cfg.Parallelism, n, func(i int) error {
+			o, c := &outs[i], &ctl[i]
+			*o = stepOutcome{}
+			c.bidFresh = false
 			var a sim.Allocation
 			switch mode[i] {
 			case modeServe:
@@ -650,9 +668,9 @@ func Run(cfg Config) (*FleetResult, error) {
 					GridBudgetW: weightsFull[i] * supply.GridBudgetW,
 				}
 			case modeHeld:
-				a = sim.Allocation{RenewableW: ctl[i].heldPVW, GridBudgetW: ctl[i].heldGridW}
+				a = sim.Allocation{RenewableW: c.heldPVW, GridBudgetW: c.heldGridW}
 			default:
-				return stepOutcome{}, nil
+				return nil
 			}
 			if dist != nil {
 				// Weather-front derate lands after the split: the
@@ -660,20 +678,27 @@ func Run(cfg Config) (*FleetResult, error) {
 				// forecast error.
 				a.RenewableW *= dist.PVScaleFrac[i]
 			}
-			er, err := sessions[i].StepAllocated(a)
-			if err != nil {
-				return stepOutcome{err: err}, nil
+			s := sessions[i]
+			if o.er, o.err = s.StepAllocated(a); o.err != nil {
+				return nil
 			}
-			return stepOutcome{er: er, served: true}, nil
+			o.served = true
+			if i == ckRack {
+				o.commitErr = ck.Commit(e, s)
+			}
+			c.nextBidW, c.nextBidErr = s.DemandBidW()
+			c.bidFresh = true
+			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: epoch %d: %w", e, err)
 		}
 
 		// 6. Post-barrier bookkeeping, serially in rack order: breaker
-		// transitions, WAL commit for the checkpointed rack, epoch
-		// records. Every session is then aligned to the site clock —
-		// skipped racks advance without consuming their noise stream.
+		// transitions (a failed WAL commit of the checkpointed rack
+		// among them), epoch records. Every session is then aligned to
+		// the site clock — skipped racks advance without consuming
+		// their noise stream.
 		se := SiteEpoch{
 			Epoch:            e,
 			RenewableW:       supply.RenewableW,
@@ -696,12 +721,9 @@ func Run(cfg Config) (*FleetResult, error) {
 				c.health.FailedEpochs++
 				se.DownRacks++
 			case outs[i].served:
-				committed := true
-				if ck != nil && i == ckRack {
-					if cerr := ck.Commit(e, sessions[i]); cerr != nil {
-						ckDirty = true
-						committed = false
-					}
+				committed := outs[i].commitErr == nil
+				if !committed {
+					ckDirty = true
 				}
 				// The physical epoch happened either way; record it.
 				results[i].Epochs = append(results[i].Epochs, outs[i].er)

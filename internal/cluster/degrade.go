@@ -100,15 +100,19 @@ type Disturber interface {
 
 // Checkpointer persists one rack's controller state through the WAL
 // layer, composing daemon crash/recovery into a fleet run. Commit is
-// called serially after each of the rack's served epochs; an error
-// (e.g. a CrashFS crashpoint tearing the write) counts as a breaker
-// failure, and Run calls Recover before the rack's next attempt so the
-// rack resumes from durable state, not from the in-memory session the
-// crash notionally destroyed.
+// called after each of the rack's served epochs, on the worker that
+// stepped the rack and concurrently with other racks' steps, so it may
+// touch only that rack's session and the Checkpointer's own state. An
+// error (e.g. a CrashFS crashpoint tearing the write) counts as a
+// breaker failure, and Run calls Recover — serially, between barriers —
+// before the rack's next attempt so the rack resumes from durable
+// state, not from the in-memory session the crash notionally
+// destroyed.
 type Checkpointer interface {
 	// Rack is the index of the checkpointed rack.
 	Rack() int
-	// Commit durably records the rack's state after epoch.
+	// Commit durably records the rack's state after epoch. It runs
+	// inside the step barrier (see above).
 	Commit(epoch int, s *sim.Session) error
 	// Recover restores s from durable state and fast-forwards it to the
 	// current epoch (SkipEpoch), called once before the rack's next
@@ -165,6 +169,14 @@ type rackCtl struct {
 	lastBidW float64
 	haveBid  bool
 
+	// nextBidW and nextBidErr are the demand bid the rack's worker
+	// computed right after its last successful step. bidFresh says the
+	// session has not changed since: each step task clears it, and so
+	// does a WAL recovery.
+	nextBidW   float64
+	nextBidErr error
+	bidFresh   bool
+
 	// heldPVW and heldGridW are the last granted allocation, held by a
 	// partitioned rack and reserved off the top of the split.
 	heldPVW   float64
@@ -184,8 +196,12 @@ const (
 	modeAbsent                  // not started yet (fleet_gen startup)
 )
 
+// stepOutcome is one rack's slot in the step barrier, written only by
+// the worker that stepped the rack.
 type stepOutcome struct {
 	er     sim.EpochResult
 	served bool
 	err    error
+	// commitErr is the checkpointed rack's Checkpointer.Commit error.
+	commitErr error
 }

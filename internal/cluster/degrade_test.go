@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"greenhetero/internal/battery"
 	"greenhetero/internal/breaker"
+	"greenhetero/internal/runner"
 	"greenhetero/internal/sim"
 )
 
@@ -267,6 +270,115 @@ func TestCheckpointerCrashRecovery(t *testing.T) {
 	}
 	if len(h.Quarantines) != 0 {
 		t.Errorf("single commit failure quarantined the rack: %+v", h.Quarantines)
+	}
+}
+
+// bidRecorder wraps an Allocator and keeps a copy of every bid vector
+// it is shown.
+type bidRecorder struct {
+	Allocator
+	bids [][]float64
+}
+
+func (r *bidRecorder) Weights(bids []float64, site Supply, out []float64) error {
+	r.bids = append(r.bids, append([]float64(nil), bids...))
+	return r.Allocator.Weights(bids, site, out)
+}
+
+// rewindCk commits by exporting the session's state until epoch failAt,
+// where the commit tears; Recover then restores the state exported at
+// epoch keep, older than the crash. staleBidW is the bid the rack's
+// session held at the torn commit.
+type rewindCk struct {
+	failAt, keep int
+	kept         *sim.State
+	staleBidW    float64
+}
+
+func (f *rewindCk) Rack() int { return 0 }
+
+func (f *rewindCk) Commit(e int, s *sim.Session) error {
+	if e == f.failAt {
+		f.staleBidW, _ = s.DemandBidW()
+		return errors.New("torn write")
+	}
+	if e == f.keep {
+		st, err := s.ExportState()
+		if err != nil {
+			return err
+		}
+		f.kept = st
+	}
+	return nil
+}
+
+func (f *rewindCk) Recover(e int, s *sim.Session) error {
+	if err := s.RestoreState(f.kept); err != nil {
+		return err
+	}
+	for s.Epoch() < e {
+		s.SkipEpoch()
+	}
+	return nil
+}
+
+// TestBidAfterRecoveryIsRestored: the bid a rack's worker computes after
+// a step must not survive a WAL recovery. After the commit at epoch k
+// tears, the allocator must see at k+1 the bid of the restored state,
+// not the one the rack held before the crash.
+func TestBidAfterRecoveryIsRestored(t *testing.T) {
+	const k = 20
+	for _, par := range []int{1, 4} {
+		cfg := twoRackConfig(t)
+		cfg.Parallelism = par
+		ck := &rewindCk{failAt: k, keep: 1}
+		rec := &bidRecorder{Allocator: HierarchicalPAR{}}
+		cfg.Checkpointer, cfg.Allocator = ck, rec
+		// A demand surge on rack 0 after the kept epoch widens its
+		// believed peak, so the restored bid differs from the stale one.
+		cfg.Disturber = scriptedDisturber(func(e int, d *Disturbance) {
+			if e > ck.keep {
+				d.IntensityScale[0] = 4
+			}
+		})
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := res.Health[0]; h.Recoveries != 1 {
+			t.Fatalf("par %d: recoveries = %d, want 1", par, h.Recoveries)
+		}
+
+		// An independent session of rack 0, restored from the kept state.
+		site, err := battery.NewSiteBank(battery.DefaultConfig(), len(cfg.Racks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := cfg.Racks[0]
+		twin, err := sim.NewSession(sim.Config{
+			Rack: rc.Rack, Workload: rc.Workload, Policy: rc.Policy, Solar: cfg.Solar,
+			Epochs: cfg.Epochs, Bank: site.Lease(0),
+			Seed: runner.DeriveSeed(cfg.Seed, fmt.Sprintf("rack/0/%s", rc.Rack.Name())),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.RestoreState(ck.kept); err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.DemandBidW()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == ck.staleBidW {
+			t.Fatalf("par %d: restored and pre-crash bids are both %v; the test cannot tell them apart", par, want)
+		}
+		if len(rec.bids) != cfg.Epochs {
+			t.Fatalf("par %d: %d Weights calls in %d epochs", par, len(rec.bids), cfg.Epochs)
+		}
+		if got := rec.bids[k+1][0]; got != want {
+			t.Errorf("par %d: epoch %d bid %v, want the restored %v (pre-crash %v)", par, k+1, got, want, ck.staleBidW)
+		}
 	}
 }
 

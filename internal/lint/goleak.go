@@ -6,7 +6,7 @@ package lint
 //
 //  1. the launching function pairs it with a sync.WaitGroup — an .Add
 //     call appears in the same function body, the repo's worker-pool
-//     idiom (runner.Map, telemetry.Collect, faultnet.serve);
+//     idiom (runner.For, telemetry.Collect, faultnet.serve);
 //  2. the call carries a context.Context argument — cancellation is the
 //     callee's contract;
 //  3. the callee's body is visible (a function literal, or a function or

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestDefaultParallelism(t *testing.T) {
@@ -245,4 +246,153 @@ func TestMapConcurrentBatches(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// chunkOf is For's chunk size for n tasks on p workers.
+func chunkOf(p, n int) int {
+	if p > n {
+		p = n
+	}
+	return (n + chunksPerWorker*p - 1) / (chunksPerWorker * p)
+}
+
+// TestForRunsEachIndexOnce covers the sizes where chunking has edges:
+// empty, a single task, fewer tasks than workers, one chunk's worth and
+// its neighbours, and a fleet-sized batch.
+func TestForRunsEachIndexOnce(t *testing.T) {
+	for _, p := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+		c := chunkOf(p, 1000)
+		for _, n := range []int{0, 1, p - 1, p, c - 1, c, c + 1, chunksPerWorker*p - 1, chunksPerWorker*p + 1, 1000} {
+			runs := make([]atomic.Int32, n)
+			if err := For(p, n, func(i int) error { runs[i].Add(1); return nil }); err != nil {
+				t.Fatalf("p=%d n=%d: %v", p, n, err)
+			}
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("p=%d n=%d: index %d ran %d times", p, n, i, got)
+				}
+			}
+		}
+	}
+	if err := For(2, -1, func(int) error { return nil }); err == nil {
+		t.Error("negative n should error")
+	}
+}
+
+// TestForLowestChunkErrorWins: failures scattered over several chunks
+// always report the lowest failing index, however the chunks race.
+func TestForLowestChunkErrorWins(t *testing.T) {
+	const n = 1000
+	for _, p := range []int{1, 2, 4} {
+		c := chunkOf(p, n)
+		fail := map[int]bool{7*c + 3: true, 2*c + c/2: true, 20 * c: true, n - 1: true}
+		for round := 0; round < 20; round++ {
+			err := For(p, n, func(i int) error {
+				if fail[i] {
+					return fmt.Errorf("task %d", i)
+				}
+				return nil
+			})
+			if want := fmt.Sprintf("task %d", 2*c+c/2); err == nil || err.Error() != want {
+				t.Fatalf("p=%d round %d: err = %v, want %s", p, round, err, want)
+			}
+		}
+	}
+}
+
+// TestForLateHigherFailureLoses: a higher index that fails after a
+// lower failure is recorded must not replace it. Task 0 fails once task
+// 2 (the other worker's chunk) is running; task 2 fails after that.
+func TestForLateHigherFailureLoses(t *testing.T) {
+	highStarted, lowDone := make(chan struct{}), make(chan struct{})
+	err := For(2, 64, func(i int) error { // chunks of 2: tasks 0 and 2 on different workers
+		switch i {
+		case 0:
+			<-highStarted
+			close(lowDone)
+			return errors.New("low")
+		case 2:
+			close(highStarted)
+			<-lowDone
+			// Give task 0's worker time to record its failure first; a
+			// shorter wait can only make this test miss a bug, never
+			// fail on correct code.
+			time.Sleep(20 * time.Millisecond)
+			return errors.New("high")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "low" {
+		t.Fatalf("err = %v, want low", err)
+	}
+}
+
+// TestForFailureMidChunk: an error or a panic in the middle of a chunk
+// skips the rest of that chunk, yet every lower index still runs
+// exactly once, and a panic reports its own index.
+func TestForFailureMidChunk(t *testing.T) {
+	const n = 1000
+	for _, p := range []int{2, 4, runtime.GOMAXPROCS(0)} {
+		c := chunkOf(p, n)
+		if c < 3 {
+			continue
+		}
+		at := 5*c + c/2 // mid-chunk
+		for _, panics := range []bool{false, true} {
+			runs := make([]atomic.Int32, n)
+			err := For(p, n, func(i int) error {
+				runs[i].Add(1)
+				if i == at {
+					if panics {
+						panic("mid-chunk")
+					}
+					return errors.New("mid-chunk")
+				}
+				return nil
+			})
+			var pe *PanicError
+			if panics && (!errors.As(err, &pe) || pe.Index != at) {
+				t.Fatalf("p=%d: err = %v, want a panic at %d", p, err, at)
+			}
+			if !panics && (err == nil || err.Error() != "mid-chunk") {
+				t.Fatalf("p=%d: err = %v", p, err)
+			}
+			for i := 0; i <= at; i++ {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("p=%d panics=%v: index %d below the failure ran %d times", p, panics, i, got)
+				}
+			}
+			for i := at + 1; i < (at/c+1)*c; i++ {
+				if got := runs[i].Load(); got != 0 {
+					t.Fatalf("p=%d panics=%v: index %d after the failure in its chunk ran", p, panics, i)
+				}
+			}
+		}
+	}
+}
+
+// TestForMatchesSerial: For's slots and Map's results are identical at
+// parallelism 1, 2, 4 and one worker per CPU.
+func TestForMatchesSerial(t *testing.T) {
+	const n = 1000
+	f := func(i int) uint64 { return uint64(DeriveSeed(int64(i), "for")) }
+	var want []uint64
+	for _, p := range []int{1, 2, 4, 0} {
+		slots := make([]uint64, n)
+		if err := For(p, n, func(i int) error { slots[i] = f(i); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := Map(p, n, func(i int) (uint64, error) { return f(i), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = slots
+		}
+		for i := range want {
+			if slots[i] != want[i] || mapped[i] != want[i] {
+				t.Fatalf("p=%d: index %d: For %d Map %d, want %d", p, i, slots[i], mapped[i], want[i])
+			}
+		}
+	}
 }

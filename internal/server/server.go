@@ -110,7 +110,8 @@ type PowerState struct {
 // frequency up to base frequency. Power at a frequency step follows the
 // classic DVFS scaling P = idle + (peak − idle)·(f/fmax)^e with e ≈ 2.2
 // (voltage scales with frequency, P ∝ f·V²). Each call builds a fresh
-// ladder; a Rack builds its groups' ladders once, in NewRack.
+// ladder; a Rack shares the catalog's ladders (catalogStates) and
+// builds one only for a spec outside the catalog.
 func (s Spec) States() []PowerState {
 	const sleepW = 4.0
 	const dvfsExp = 2.2
@@ -124,7 +125,7 @@ func (s Spec) States() []PowerState {
 		w := s.IdleW + s.DynamicRangeW()*math.Pow(frac, dvfsExp)
 		states = append(states, PowerState{
 			// %.0f's text (for f < 2^63) without fmt's slow exact
-			// decimal path: NewRack builds every group's ladder.
+			// decimal path.
 			Name:    "freq-" + strconv.Itoa(int(math.RoundToEven(f))) + "MHz",
 			FreqMHz: f,
 			Watts:   w,
@@ -151,6 +152,27 @@ var catalog = []Spec{
 	{ID: CoreI78700K, Model: "Core i7-8700K", Class: ClassCPU, BaseFreqMHz: 3700, Sockets: 1, Cores: 6, PeakW: 88, IdleW: 39, DVFSLevels: 12, PerfFactor: 0.55},
 	{ID: CoreI54460, Model: "Core i5-4460", Class: ClassCPU, BaseFreqMHz: 3200, Sockets: 1, Cores: 4, PeakW: 96, IdleW: 47, DVFSLevels: 10, PerfFactor: 1.00},
 	{ID: TitanXp, Model: "Nvidia Titan Xp", Class: ClassGPU, BaseFreqMHz: 1582, Sockets: 1, Cores: 3840, PeakW: 411, IdleW: 149, DVFSLevels: 16, PerfFactor: 1.00},
+}
+
+// catalogStates[i] is catalog[i].States(), built once at start-up and
+// shared read-only by every rack whose group uses that exact spec.
+var catalogStates = func() [][]PowerState {
+	out := make([][]PowerState, len(catalog))
+	for i, s := range catalog {
+		out[i] = s.States()
+	}
+	return out
+}()
+
+// ladder returns s's DVFS ladder: the shared catalog ladder when s is a
+// catalog entry, unmodified, and a fresh one otherwise.
+func ladder(s Spec) []PowerState {
+	for i := range catalog {
+		if catalog[i] == s {
+			return catalogStates[i]
+		}
+	}
+	return s.States()
 }
 
 // Catalog returns a copy of the Table II server catalog.
@@ -181,8 +203,10 @@ type Group struct {
 type Rack struct {
 	name   string
 	groups []Group
-	// states[i] is groups[i].Spec.States(), built once by NewRack: the
-	// SPC maps a power target to a state for every group every epoch.
+	// states[i] is groups[i].Spec.States(), resolved once by NewRack
+	// (shared with every rack of the same catalog spec, never written):
+	// the SPC maps a power target to a state for every group every
+	// epoch.
 	states [][]PowerState
 }
 
@@ -220,7 +244,7 @@ func NewRack(name string, groups ...Group) (*Rack, error) {
 	sort.Slice(gs, func(i, j int) bool { return gs[i].Spec.ID < gs[j].Spec.ID })
 	states := make([][]PowerState, len(gs))
 	for i := range gs {
-		states[i] = gs[i].Spec.States()
+		states[i] = ladder(gs[i].Spec)
 	}
 	return &Rack{name: name, groups: gs, states: states}, nil
 }

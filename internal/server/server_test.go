@@ -122,6 +122,32 @@ func TestStatesOrderedAndBounded(t *testing.T) {
 	}
 }
 
+// TestRackLadderShared: a catalog spec's rack ladder is the one built at
+// start-up, shared by every rack that uses the spec; a modified spec gets
+// its own. Either way the ladder equals Spec.States(), names included.
+func TestRackLadderShared(t *testing.T) {
+	modified := mustSpec(t, XeonE52620)
+	modified.PeakW += 10
+	for _, s := range append(Catalog(), modified) {
+		r1, err := NewRack("one", Group{s, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := NewRack("two", Group{s, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.States()
+		if !slices.Equal(r1.states[0], want) || !slices.Equal(r2.states[0], want) {
+			t.Errorf("%s (peak %v): rack ladders %v, %v, want %v", s.ID, s.PeakW, r1.states[0], r2.states[0], want)
+		}
+		shared := &r1.states[0][0] == &r2.states[0][0]
+		if inCatalog := s == mustSpec(t, s.ID); shared != inCatalog {
+			t.Errorf("%s (peak %v): ladder shared = %v, want %v", s.ID, s.PeakW, shared, inCatalog)
+		}
+	}
+}
+
 func TestStateForPower(t *testing.T) {
 	s := mustSpec(t, XeonE52620)
 	r, err := NewRack("x", Group{s, 1})
