@@ -10,6 +10,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -56,37 +57,38 @@ const (
 
 // Event is one scheduled chaos event, with rack targets already
 // resolved to fleet indices. Only the fields its Kind documents are
-// read.
+// read. The JSON names are a scenario file's; there targets are rack
+// and template names, which the scenario layer resolves into Racks.
 type Event struct {
-	Kind     string
-	At       int
-	Duration int
+	Kind     string `json:"kind"`
+	At       int    `json:"atEpoch"`
+	Duration int    `json:"duration,omitempty"`
 	// Racks targets specific racks (crash seeds; surge / partition
 	// scope, where empty means the whole fleet).
-	Racks []int
+	Racks []int `json:"-"`
 	// Zone targets a zone (rack i belongs to zone i mod Zones).
-	Zone int
+	Zone int `json:"zone,omitempty"`
 	// Fanout and Depth shape a crash cascade.
-	Fanout int
-	Depth  int
+	Fanout int `json:"fanout,omitempty"`
+	Depth  int `json:"depth,omitempty"`
 	// RecoveryEpochs is a crash victim's down time, jittered by
 	// JitterFrac.
-	RecoveryEpochs int
-	JitterFrac     float64
+	RecoveryEpochs int     `json:"recoveryEpochs,omitempty"`
+	JitterFrac     float64 `json:"jitterFrac,omitempty"`
 	// DepthFrac is a weather front's PV derate; WidthRacks its size.
 	//
 	// ghlint:units frac
-	DepthFrac  float64
-	WidthRacks int
+	DepthFrac  float64 `json:"depthFrac,omitempty"`
+	WidthRacks int     `json:"widthRacks,omitempty"`
 	// PriceScale and GridBudgetScale shape a price spike.
-	PriceScale      float64
-	GridBudgetScale float64
+	PriceScale      float64 `json:"priceScale,omitempty"`
+	GridBudgetScale float64 `json:"gridBudgetScale,omitempty"`
 	// FadeFrac is the capacity fraction a battery_fade removes.
 	//
 	// ghlint:units frac
-	FadeFrac float64
+	FadeFrac float64 `json:"fadeFrac,omitempty"`
 	// IntensityScale is a workload surge's demand multiplier.
-	IntensityScale float64
+	IntensityScale float64 `json:"intensityScale,omitempty"`
 }
 
 // Config describes a storm over a fleet.
@@ -162,42 +164,115 @@ type Engine struct {
 	daemonArm map[int]int
 }
 
-// NewEngine expands the storm schedule. Each event draws from its own
-// derived RNG stream, so reordering or editing one event never
-// perturbs another's expansion.
-func NewEngine(cfg Config) (*Engine, error) {
+// Validate checks the storm config and every event against the rules
+// its kind documents. It is the one rule table for a schedule: NewEngine
+// calls it before expanding, and scenario files answer to it once their
+// rack names are resolved to indices.
+func (cfg Config) Validate() error {
 	if cfg.Racks < 1 {
-		return nil, fmt.Errorf("chaos: %d racks", cfg.Racks)
+		return fmt.Errorf("chaos: %d racks", cfg.Racks)
 	}
 	if cfg.Epochs < 1 {
-		return nil, fmt.Errorf("chaos: %d epochs", cfg.Epochs)
+		return fmt.Errorf("chaos: %d epochs", cfg.Epochs)
+	}
+	if cfg.Names != nil && len(cfg.Names) != cfg.Racks {
+		return fmt.Errorf("chaos: %d names for %d racks", len(cfg.Names), cfg.Racks)
+	}
+	if cfg.JoinEpochs != nil && len(cfg.JoinEpochs) != cfg.Racks {
+		return fmt.Errorf("chaos: %d join epochs for %d racks", len(cfg.JoinEpochs), cfg.Racks)
+	}
+	if cfg.WALRack >= cfg.Racks {
+		return fmt.Errorf("chaos: WAL rack %d of %d", cfg.WALRack, cfg.Racks)
+	}
+	for idx, ev := range cfg.Events {
+		if err := cfg.checkEvent(ev); err != nil {
+			return fmt.Errorf("chaos: event %d (%s): %w", idx, ev.Kind, err)
+		}
+	}
+	return nil
+}
+
+// checkEvent applies the rules of one event's kind.
+func (cfg Config) checkEvent(ev Event) error {
+	if ev.At < 0 || ev.At >= cfg.Epochs {
+		return fmt.Errorf("at epoch %d of %d", ev.At, cfg.Epochs)
+	}
+	for _, r := range ev.Racks {
+		if r < 0 || r >= cfg.Racks {
+			return fmt.Errorf("targets rack %d of %d", r, cfg.Racks)
+		}
+	}
+	if !(ev.JitterFrac >= 0 && ev.JitterFrac < 1) {
+		return fmt.Errorf("jitter %v outside [0,1)", ev.JitterFrac)
+	}
+	windowed := true
+	switch ev.Kind {
+	case KindRackCrash:
+		windowed = false
+		switch {
+		case len(ev.Racks) == 0:
+			return errors.New("no seed racks")
+		case ev.RecoveryEpochs < 1:
+			return fmt.Errorf("recovery %d epochs", ev.RecoveryEpochs)
+		case ev.Fanout < 0 || ev.Depth < 0:
+			return fmt.Errorf("fanout %d depth %d", ev.Fanout, ev.Depth)
+		}
+	case KindZoneOutage:
+		if zones := max(cfg.Zones, 1); ev.Zone < 0 || ev.Zone >= zones {
+			return fmt.Errorf("zone %d of %d", ev.Zone, zones)
+		}
+	case KindWeatherFront:
+		if ev.WidthRacks < 1 {
+			return fmt.Errorf("width %d racks", ev.WidthRacks)
+		}
+		if !(ev.DepthFrac > 0 && ev.DepthFrac <= 1) {
+			return fmt.Errorf("depth %v outside (0,1]", ev.DepthFrac)
+		}
+	case KindPriceSpike:
+		// Zero scales mean 1 (no price change, no demand response).
+		if !(ev.PriceScale >= 0) || math.IsInf(ev.PriceScale, 1) {
+			return fmt.Errorf("price scale %v", ev.PriceScale)
+		}
+		if !(ev.GridBudgetScale >= 0 && ev.GridBudgetScale <= 1) {
+			return fmt.Errorf("grid budget scale %v outside [0,1]", ev.GridBudgetScale)
+		}
+	case KindBatteryFade:
+		windowed = false
+		if !(ev.FadeFrac > 0 && ev.FadeFrac < 1) {
+			return fmt.Errorf("fade %v outside (0,1)", ev.FadeFrac)
+		}
+	case KindWorkloadSurge:
+		if !(ev.IntensityScale > 0) || math.IsInf(ev.IntensityScale, 1) {
+			return fmt.Errorf("intensity scale %v", ev.IntensityScale)
+		}
+	case KindAgentPartition:
+	case KindDaemonCrash:
+		if cfg.WALRack < 0 {
+			return errors.New("no WAL rack configured")
+		}
+	default:
+		return errors.New("unknown kind")
+	}
+	if windowed && ev.Duration < 1 {
+		return fmt.Errorf("duration %d (windowed events need at least one epoch)", ev.Duration)
+	}
+	return nil
+}
+
+// NewEngine validates and expands the storm schedule. Each event draws
+// from its own derived RNG stream, so reordering or editing one event
+// never perturbs another's expansion.
+func NewEngine(cfg Config) (*Engine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Zones < 1 {
 		cfg.Zones = 1
 	}
-	if cfg.Names != nil && len(cfg.Names) != cfg.Racks {
-		return nil, fmt.Errorf("chaos: %d names for %d racks", len(cfg.Names), cfg.Racks)
-	}
-	if cfg.JoinEpochs != nil && len(cfg.JoinEpochs) != cfg.Racks {
-		return nil, fmt.Errorf("chaos: %d join epochs for %d racks", len(cfg.JoinEpochs), cfg.Racks)
-	}
-	if cfg.WALRack >= cfg.Racks {
-		return nil, fmt.Errorf("chaos: WAL rack %d of %d", cfg.WALRack, cfg.Racks)
-	}
 	g := &Engine{cfg: cfg, daemonArm: make(map[int]int)}
 	for idx, ev := range cfg.Events {
-		if ev.At < 0 || ev.At >= cfg.Epochs {
-			return nil, fmt.Errorf("chaos: event %d (%s) at epoch %d of %d", idx, ev.Kind, ev.At, cfg.Epochs)
-		}
-		for _, r := range ev.Racks {
-			if r < 0 || r >= cfg.Racks {
-				return nil, fmt.Errorf("chaos: event %d (%s) targets rack %d of %d", idx, ev.Kind, r, cfg.Racks)
-			}
-		}
 		rng := rand.New(rand.NewSource(runner.DeriveSeed(cfg.Seed, fmt.Sprintf("chaos/event/%d", idx))))
-		if err := g.expand(idx, ev, rng); err != nil {
-			return nil, err
-		}
+		g.expand(ev, rng)
 	}
 	// Replay order must not depend on schedule order: sort each table.
 	sort.Slice(g.crashes, func(i, j int) bool {
@@ -211,25 +286,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return g, nil
 }
 
-// expand turns one event into replay windows using its private rng.
-func (g *Engine) expand(idx int, ev Event, rng *rand.Rand) error {
-	bad := func(f string, args ...any) error {
-		return fmt.Errorf("chaos: event %d (%s): %s", idx, ev.Kind, fmt.Sprintf(f, args...))
-	}
+// expand turns one validated event into replay windows using its
+// private rng.
+func (g *Engine) expand(ev Event, rng *rand.Rand) {
 	switch ev.Kind {
 	case KindRackCrash:
-		if len(ev.Racks) == 0 {
-			return bad("no seed racks")
-		}
-		if ev.RecoveryEpochs < 1 {
-			return bad("recovery %d epochs", ev.RecoveryEpochs)
-		}
-		if ev.JitterFrac < 0 || ev.JitterFrac >= 1 || math.IsNaN(ev.JitterFrac) {
-			return bad("jitter %v outside [0,1)", ev.JitterFrac)
-		}
-		if ev.Fanout < 0 || ev.Depth < 0 {
-			return bad("fanout %d depth %d", ev.Fanout, ev.Depth)
-		}
 		down := make(map[int]bool)
 		level := ev.Racks
 		for l := 0; l <= ev.Depth && len(level) > 0; l++ {
@@ -263,28 +324,10 @@ func (g *Engine) expand(idx int, ev Event, rng *rand.Rand) error {
 			level = next
 		}
 	case KindZoneOutage:
-		if ev.Zone < 0 || ev.Zone >= g.cfg.Zones {
-			return bad("zone %d of %d", ev.Zone, g.cfg.Zones)
-		}
-		if ev.Duration < 1 {
-			return bad("duration %d", ev.Duration)
-		}
 		g.zones = append(g.zones, window{target: ev.Zone, from: ev.At, to: ev.At + ev.Duration})
 	case KindWeatherFront:
-		if ev.Duration < 1 {
-			return bad("duration %d", ev.Duration)
-		}
-		if ev.WidthRacks < 1 {
-			return bad("width %d racks", ev.WidthRacks)
-		}
-		if !(ev.DepthFrac > 0 && ev.DepthFrac <= 1) {
-			return bad("depth %v outside (0,1]", ev.DepthFrac)
-		}
 		g.fronts = append(g.fronts, front{at: ev.At, end: ev.At + ev.Duration, width: ev.WidthRacks, depth: ev.DepthFrac})
 	case KindPriceSpike:
-		if ev.Duration < 1 {
-			return bad("duration %d", ev.Duration)
-		}
 		price, grid := ev.PriceScale, ev.GridBudgetScale
 		if price == 0 {
 			price = 1
@@ -292,44 +335,20 @@ func (g *Engine) expand(idx int, ev Event, rng *rand.Rand) error {
 		if grid == 0 {
 			grid = 1
 		}
-		if !(price > 0) || !(grid > 0) || grid > 1 {
-			return bad("price scale %v, grid budget scale %v", ev.PriceScale, ev.GridBudgetScale)
-		}
 		g.spikes = append(g.spikes, spike{from: ev.At, to: ev.At + ev.Duration, price: price, grid: grid})
 	case KindBatteryFade:
-		if !(ev.FadeFrac > 0 && ev.FadeFrac < 1) {
-			return bad("fade %v outside (0,1)", ev.FadeFrac)
-		}
 		g.fades = append(g.fades, fadePoint{at: ev.At, frac: ev.FadeFrac})
 	case KindWorkloadSurge:
-		if ev.Duration < 1 {
-			return bad("duration %d", ev.Duration)
-		}
-		if !(ev.IntensityScale > 0) || math.IsInf(ev.IntensityScale, 0) {
-			return bad("intensity scale %v", ev.IntensityScale)
-		}
 		g.surges = append(g.surges, surge{from: ev.At, to: ev.At + ev.Duration, scale: ev.IntensityScale, racks: ev.Racks})
 	case KindAgentPartition:
-		if ev.Duration < 1 {
-			return bad("duration %d", ev.Duration)
-		}
 		g.parts = append(g.parts, partWindow{from: ev.At, to: ev.At + ev.Duration, racks: ev.Racks})
 	case KindDaemonCrash:
-		if g.cfg.WALRack < 0 {
-			return bad("no WAL rack configured")
-		}
-		if ev.Duration < 1 {
-			return bad("duration %d", ev.Duration)
-		}
 		// The crashpoint lands 1 or 2 filesystem ops into the commit of
 		// epoch At — inside the record write or its sync — so the epoch
 		// is stepped but never durable.
 		g.daemonArm[ev.At] = 1 + rng.Intn(2)
 		g.crashes = append(g.crashes, window{target: g.cfg.WALRack, from: ev.At + 1, to: ev.At + 1 + ev.Duration})
-	default:
-		return bad("unknown kind")
 	}
-	return nil
 }
 
 // jitterEpochs jitters a base duration by ±frac, floored at one epoch.

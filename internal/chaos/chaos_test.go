@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"testing"
 
 	"greenhetero/internal/cluster"
@@ -300,6 +301,9 @@ func TestEngineJoins(t *testing.T) {
 }
 
 func TestEngineRejectsBadConfig(t *testing.T) {
+	one := func(ev Event) Config {
+		return Config{Racks: 2, Epochs: 4, WALRack: -1, Events: []Event{ev}}
+	}
 	for _, tt := range []struct {
 		name string
 		cfg  Config
@@ -314,9 +318,34 @@ func TestEngineRejectsBadConfig(t *testing.T) {
 			Events: []Event{{Kind: KindRackCrash, At: 1, Racks: []int{7}, RecoveryEpochs: 1}}}},
 		{"unknown kind", Config{Racks: 2, Epochs: 4, WALRack: -1,
 			Events: []Event{{Kind: "meteor", At: 1}}}},
+		// One row per kind rule.
+		{"jitter on a non-crash event", one(Event{Kind: KindZoneOutage, At: 1, Duration: 1, JitterFrac: 1.5})},
+		{"NaN jitter", one(Event{Kind: KindRackCrash, At: 1, Racks: []int{0}, RecoveryEpochs: 1, JitterFrac: math.NaN()})},
+		{"windowed event without duration", one(Event{Kind: KindAgentPartition, At: 1})},
+		{"crash without seed racks", one(Event{Kind: KindRackCrash, At: 1, RecoveryEpochs: 1})},
+		{"crash without recovery", one(Event{Kind: KindRackCrash, At: 1, Racks: []int{0}})},
+		{"negative fanout", one(Event{Kind: KindRackCrash, At: 1, Racks: []int{0}, RecoveryEpochs: 1, Fanout: -1})},
+		{"negative depth", one(Event{Kind: KindRackCrash, At: 1, Racks: []int{0}, RecoveryEpochs: 1, Depth: -1})},
+		{"zone out of range", one(Event{Kind: KindZoneOutage, At: 1, Duration: 1, Zone: 1})},
+		{"front without width", one(Event{Kind: KindWeatherFront, At: 1, Duration: 1, DepthFrac: 0.5})},
+		{"front depth above 1", one(Event{Kind: KindWeatherFront, At: 1, Duration: 1, WidthRacks: 1, DepthFrac: 1.5})},
+		{"front depth zero", one(Event{Kind: KindWeatherFront, At: 1, Duration: 1, WidthRacks: 1})},
+		{"infinite price", one(Event{Kind: KindPriceSpike, At: 1, Duration: 1, PriceScale: math.Inf(1)})},
+		{"NaN price", one(Event{Kind: KindPriceSpike, At: 1, Duration: 1, PriceScale: math.NaN()})},
+		{"negative price", one(Event{Kind: KindPriceSpike, At: 1, Duration: 1, PriceScale: -2})},
+		{"grid budget scale above 1", one(Event{Kind: KindPriceSpike, At: 1, Duration: 1, GridBudgetScale: 1.5})},
+		{"negative grid budget scale", one(Event{Kind: KindPriceSpike, At: 1, Duration: 1, GridBudgetScale: -0.5})},
+		{"fade of 1", one(Event{Kind: KindBatteryFade, At: 1, FadeFrac: 1})},
+		{"fade of 0", one(Event{Kind: KindBatteryFade, At: 1})},
+		{"infinite surge", one(Event{Kind: KindWorkloadSurge, At: 1, Duration: 1, IntensityScale: math.Inf(1)})},
+		{"zero surge", one(Event{Kind: KindWorkloadSurge, At: 1, Duration: 1})},
+		{"daemon crash without WAL rack", one(Event{Kind: KindDaemonCrash, At: 1, Duration: 1})},
 	} {
 		if _, err := NewEngine(tt.cfg); err == nil {
 			t.Errorf("%s accepted", tt.name)
+		}
+		if err := tt.cfg.Validate(); err == nil {
+			t.Errorf("Validate accepts %s", tt.name)
 		}
 	}
 }

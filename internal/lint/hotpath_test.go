@@ -28,7 +28,7 @@ func TestAllocfreeCoversHotPath(t *testing.T) {
 			"greenhetero/internal/fit.(Accumulator).ReplaceWindow",
 			"greenhetero/internal/fit.(Accumulator).Fit",
 		}},
-		"internal/profiledb": {sites: 2, symbols: []string{
+		"internal/profiledb": {sites: 3, symbols: []string{
 			"greenhetero/internal/profiledb.(DB).AddFeedback",
 			"greenhetero/internal/profiledb.(DB).ProjectionInto",
 		}},

@@ -1,6 +1,7 @@
 package profiledb
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -233,5 +234,18 @@ func TestProjectionMatchesLookup(t *testing.T) {
 
 	if err := db.ProjectionInto(Key{ServerID: "nope", WorkloadID: "nope"}, &scratch); err == nil {
 		t.Fatal("ProjectionInto of missing key must error")
+	}
+
+	// A miss is on the bid path before a rack's first training run: it
+	// returns the bare sentinel and allocates nothing.
+	missing := Key{ServerID: "nope", WorkloadID: "nope"}
+	if err := db.ProjectionInto(missing, &scratch); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ProjectionInto miss = %v, want ErrNotFound", err)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		_ = db.ProjectionInto(missing, &scratch)
+	})
+	if allocs != 0 {
+		t.Fatalf("ProjectionInto allocates %v per miss, want 0", allocs)
 	}
 }

@@ -137,7 +137,9 @@ func (db *DB) Lookup(k Key) (Entry, error) {
 // (bounds, curve, refit count) — reusing out's coefficient capacity: the
 // per-epoch policy path calls it once per group with a scratch Entry and
 // performs no steady-state allocations. Use Lookup when the sample
-// window is needed.
+// window is needed. A miss returns the bare ErrNotFound, unformatted, so
+// probing an unprofiled pair allocates nothing either; callers that
+// report the miss name the key themselves.
 //
 // ghlint:allocfree
 func (db *DB) ProjectionInto(k Key, out *Entry) error {
@@ -145,7 +147,7 @@ func (db *DB) ProjectionInto(k Key, out *Entry) error {
 	defer db.mu.RUnlock()
 	e, ok := db.entries[k]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, k)
+		return ErrNotFound
 	}
 	coeffs := append(out.Curve.Coeffs[:0], e.Curve.Coeffs...)
 	*out = Entry{Key: e.Key, IdleW: e.IdleW, PeakEffW: e.PeakEffW, Curve: e.Curve, Refits: e.Refits}

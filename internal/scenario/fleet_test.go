@@ -83,6 +83,8 @@ func TestFleetValidation(t *testing.T) {
 		{"missing rack name", strings.Replace(fleetDoc, `"name": "web", `, ``, 1)},
 		{"missing rack policy", strings.Replace(fleetDoc, `"policy": "GreenHetero",
        "groups": [{"server": "e5-2620", "count": 5, "workload": "specjbb"}]`, `"groups": [{"server": "e5-2620", "count": 5, "workload": "specjbb"}]`, 1)},
+		{"fleet above the rack bound", strings.Replace(fleetDoc, `"count": 3`, `"count": 2000000`, 1)},
+		{"colliding rack names", strings.Replace(fleetDoc, `{"name": "batch",`, `{"name": "web-1",`, 1)},
 	}
 	for _, tt := range mutations {
 		t.Run(tt.name, func(t *testing.T) {

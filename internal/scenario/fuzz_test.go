@@ -41,6 +41,8 @@ func FuzzLoadScenario(f *testing.F) {
 	f.Add([]byte(`{"name":"s","solar":{"profile":"low","peakWatts":100},"epochs":8,"fleet":{},"stress":{"fleetGen":{"racks":2,"templates":[{"name":"a","weight":-1,"policy":"Uniform","groups":[{"server":"e5-2620","count":1,"workload":"specjbb"}]}]}}}`))
 	f.Add([]byte(`{"name":"s","solar":{"profile":"low","peakWatts":100},"epochs":8,"fleet":{},"stress":{"chaos":[{"kind":"zone_outage","atEpoch":1,"duration":2,"zone":1},{"kind":"zone_outage","atEpoch":2,"duration":2,"zone":1}],"fleetGen":{"racks":2,"templates":[{"name":"a","weight":1,"policy":"Uniform","groups":[{"server":"e5-2620","count":1,"workload":"specjbb"}]}]}}}`))
 	f.Add([]byte(`{"name":"s","solar":{"profile":"low","peakWatts":100},"epochs":8,"fleet":{},"stress":{"chaos":[{"kind":"daemon_crash","atEpoch":1,"duration":2}],"fleetGen":{"racks":2,"templates":[{"name":"a","weight":1,"policy":"Uniform","groups":[{"server":"e5-2620","count":1,"workload":"specjbb"}]}]}}}`))
+	// Two racks named "web-1": web's second replica and an explicit rack.
+	f.Add([]byte(`{"name":"s","solar":{"profile":"low","peakWatts":100},"epochs":8,"fleet":{"racks":[{"name":"web","count":2,"policy":"Uniform","groups":[{"server":"e5-2620","count":1,"workload":"specjbb"}]},{"name":"web-1","policy":"Uniform","groups":[{"server":"e5-2620","count":1,"workload":"specjbb"}]}]},"stress":{"chaos":[{"kind":"rack_crash","atEpoch":1,"racks":["web-1"],"recoveryEpochs":2}]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Parse(bytes.NewReader(data))
 		if err != nil {

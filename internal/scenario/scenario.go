@@ -123,7 +123,8 @@ func (sc *Scenario) validate() error {
 		if sc.Stress != nil {
 			return sc.Stress.validate(sc)
 		}
-		return nil
+		_, _, err := sc.expandFleet()
+		return err
 	}
 	switch {
 	case len(sc.Groups) == 0:

@@ -181,13 +181,24 @@ func TestStressValidation(t *testing.T) {
 		}
 		return strings.Replace(stressDoc, old, new, 1)
 	}
+	// An explicit fleet whose "web-1" collides with web's second replica,
+	// targeted by a crash that could mean either rack.
+	colliding := strings.Replace(fleetDoc, `{"name": "batch",`, `{"name": "web-1",`, 1)
+	colliding = strings.Replace(colliding, `"fleet": {`, `"stress": {
+    "chaos": [{"kind": "rack_crash", "atEpoch": 2, "racks": ["web-1"], "recoveryEpochs": 2}]
+  },
+  "fleet": {`, 1)
 	mutations := []struct {
 		name string
 		doc  string
 	}{
+		{"colliding rack names", colliding},
+		{"template named like a rack", strings.Replace(rep(`"name": "batch"`, `"name": "web-0001"`),
+			`"racks": ["batch"]`, `"racks": ["web-0001"]`, 1)},
 		{"negative weight", rep(`"weight": 1`, `"weight": -1`)},
 		{"zero-sum weights", strings.Replace(rep(`"weight": 3`, `"weight": 0`), `"weight": 1`, `"weight": 0`, 1)},
 		{"zero racks", rep(`"racks": 16`, `"racks": 0`)},
+		{"racks above the fleet bound", rep(`"racks": 16`, `"racks": 2000000`)},
 		{"duplicate template", rep(`"name": "batch"`, `"name": "web"`)},
 		{"unknown startup pattern", rep(`"pattern": "linear"`, `"pattern": "warp"`)},
 		{"ramp spans whole run", rep(`"rampEpochs": 3`, `"rampEpochs": 24`)},
