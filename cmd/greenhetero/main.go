@@ -179,16 +179,18 @@ func run(args []string) error {
 		if *compare {
 			return errors.New("-fleet does not support -compare")
 		}
-		p, err := policy.ByName(*policyFlag)
-		if err != nil {
-			return err
-		}
 		alloc, err := cluster.AllocatorByName(*allocFlag)
 		if err != nil {
 			return err
 		}
 		racks := make([]cluster.RackConfig, *fleetN)
 		for i := range racks {
+			// One policy per rack: racks step concurrently, and Manual
+			// keeps state.
+			p, err := policy.ByName(*policyFlag)
+			if err != nil {
+				return err
+			}
 			r, err := server.NewRack(fmt.Sprintf("%s-%03d", strings.ToLower(*comboFlag), i), groups...)
 			if err != nil {
 				return err

@@ -34,7 +34,7 @@ func TestAllocfreeCoversHotPath(t *testing.T) {
 		}},
 		"internal/solver": {sites: 1, symbols: []string{
 			"greenhetero/internal/solver.(Warm).Optimize",
-			"greenhetero/internal/solver.(Warm).indexResiduals",
+			"greenhetero/internal/solver.(residualIndexes).residualsFor",
 		}},
 	}
 

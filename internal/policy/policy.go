@@ -54,7 +54,9 @@ type Context struct {
 
 // Scratch is reusable working memory for the per-epoch allocation hot
 // path. Its lifetime is one controller (one simulated run): the embedded
-// warm solver holds only search buffers that each solve overwrites, so
+// warm solver holds search buffers that each solve overwrites, and its
+// last 3-group grid pick, which the next solve tries first. The pick
+// changes how much of the grid a solve skips, never its result, so
 // reuse across epochs — or even across different racks — never changes
 // a result.
 type Scratch struct {

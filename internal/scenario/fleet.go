@@ -199,17 +199,18 @@ func (sc *Scenario) BuildFleet() (cluster.Config, error) {
 	return sc.buildFleet(tmpls)
 }
 
-// buildFleet builds the expanded racks, one policy instance per
-// template, and assembles the site configuration around them.
+// buildFleet builds the expanded racks, one policy instance per rack
+// (a stateful policy such as Manual must not be shared by racks that
+// step concurrently), and assembles the site configuration around them.
 func (sc *Scenario) buildFleet(tmpls []fleetTemplate) (cluster.Config, error) {
 	f := sc.Fleet
 	var racks []cluster.RackConfig
 	for _, t := range tmpls {
-		p, err := policy.ByName(t.policy)
-		if err != nil {
-			return cluster.Config{}, fmt.Errorf("scenario: rack template %q: %w", t.name, err)
-		}
 		for _, name := range t.racks {
+			p, err := policy.ByName(t.policy)
+			if err != nil {
+				return cluster.Config{}, fmt.Errorf("scenario: rack template %q: %w", t.name, err)
+			}
 			rack, groupWs, err := buildRack(name, t.groups)
 			if err != nil {
 				return cluster.Config{}, fmt.Errorf("scenario: rack %q: %w", name, err)

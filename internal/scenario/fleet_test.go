@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -69,6 +70,54 @@ func TestParseAndBuildFleet(t *testing.T) {
 	single := &Scenario{}
 	if _, err := single.BuildFleet(); !errors.Is(err, ErrBadScenario) {
 		t.Errorf("BuildFleet on single-rack scenario: %v", err)
+	}
+}
+
+// TestManualFleetParallel runs a fleet of four Manual replicas at
+// parallelism 1 and 2, and the two runs must print identically. Manual
+// fills a table of trial results as it goes, so replicas that shared
+// one instance would race on it (reported under -race), and a rack's
+// result would depend on which rack filled an entry first.
+func TestManualFleetParallel(t *testing.T) {
+	sc, err := Parse(strings.NewReader(`{
+  "name": "manual-site",
+  "solar": {"profile": "high", "peakWatts": 20000, "days": 1, "seed": 1},
+  "epochs": 48,
+  "seed": 7,
+  "fleet": {
+    "allocator": "hierarchical-par",
+    "siteGridBudgetW": 2000,
+    "racks": [
+      {"name": "manual", "count": 4, "policy": "Manual",
+       "groups": [{"server": "e5-2620", "count": 3, "workload": "specjbb"},
+                  {"server": "i5-4460", "count": 3, "workload": "specjbb"}]}
+    ]
+  }
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, par := range []int{1, 2} {
+		cfg, err := sc.BuildFleet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Parallelism = par
+		res, err := cluster.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, r := range res.Racks {
+			fmt.Fprintf(&b, "%s %+v\n", r.Name, *r.Result)
+		}
+		fmt.Fprintf(&b, "%+v %+v %d", res.Site, res.Health, res.BatteryCycles)
+		if par == 1 {
+			want = b.String()
+		} else if got := b.String(); got != want {
+			t.Fatalf("parallelism %d differs from parallelism 1:\n%s\n%s", par, got, want)
+		}
 	}
 }
 

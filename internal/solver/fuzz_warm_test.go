@@ -17,8 +17,10 @@ import (
 // Warm.Optimize must match the reference Optimize bit for bit —
 // fractions, predicted perf, Evaluations and error outcome — on a
 // fresh Warm, on a repeat of the same input through the same Warm
-// (reused scratch), and on a Warm last used with a different grid step
-// (a residual-index rebuild).
+// (reused scratch, its own pick as the incumbent), on a Warm last used
+// with a different grid step (another residual index), and after a
+// neighbouring solve: the same models at a perturbed supply, which
+// leaves a stale incumbent on the same grid.
 //
 // Grid steps finer than the 0.005 ablation grid are raised to it: each
 // halving of the step quadruples a 3-group scan, so finer grids buy no
@@ -136,5 +138,8 @@ func FuzzWarmOptimize(f *testing.F) {
 			t.Fatalf("step switch: err %v, reference err %v", err, wantErr)
 		}
 		check("after step switch")
+		// Only the incumbent this solve leaves matters, not its outcome.
+		_, _ = w.Optimize(models, supply*(0.8+0.4*rng.Float64()), o)
+		check("after neighbouring solve")
 	})
 }

@@ -1,10 +1,13 @@
 package solver
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Warm is a reusable solver context for the per-epoch hot path. It is
 // bit-for-bit equivalent to Optimize — same Fractions, PredictedPerf,
-// Evaluations, and errors for every input — but amortizes work four
+// Evaluations, and errors for every input — but amortizes work five
 // ways:
 //
 //   - Per-group grid tables: groups 0..n-2 have their objective
@@ -15,15 +18,22 @@ import "math"
 //     simplex remainder 1−f₀−f₁ (clamped at 0), which depends only on
 //     the grid step and takes far fewer distinct values than there are
 //     points (420 bit patterns for the 5 151 points of the 1 % grid).
-//     The Warm indexes every point to its distinct residual once per
-//     step and evaluates the group once per distinct residual per solve.
+//     Every point is indexed to its distinct residual once per step per
+//     process (residualIndexes), in an index every Warm shares, and the
+//     group is evaluated once per distinct residual per solve.
 //   - Band-limited tables: every table, the last group's included, is
 //     filled by fillBand, which calls Perf only where a server's power
 //     lies between IdleW and PeakEffW and fills the rest with Eq. 8's
-//     clamped values.
+//     clamped values. The scan's bounds are computed only inside each
+//     band; the flat parts outside it are known.
 //   - A pruned 3-group scan: each row visits only the window of points
 //     whose upper bound (prefix and suffix maxima of the tables) still
 //     strictly beats the best total so far; see gridSearchFast.
+//   - An incumbent: the Warm remembers its last 3-group grid pick, and
+//     the next scan on the same grid evaluates that point first. Its
+//     total v is a lower bound on the grid maximum, so from the first
+//     row on the scan also skips every position whose bound is strictly
+//     below v.
 //
 // Every table entry is the reference objective's own value on the
 // reference's own argument, and the scan adds the entries in the
@@ -31,26 +41,28 @@ import "math"
 // grid's tie-breaking is load-bearing: the scan takes the first strict
 // improvement in row-major order, so the warm path visits the points it
 // does not prune in exactly the reference order, and prunes only points
-// whose total provably cannot exceed the best already found — points
-// the reference visits but never picks. Evaluations still counts every
-// grid point. All search scratch (tables, residual index, bounds,
-// fraction buffers, the refine vector) is preallocated and reused, so a
-// steady-state call performs a single small allocation: the returned
-// Result's caller-owned Fractions slice.
+// whose total provably cannot exceed the best already found, or cannot
+// reach the incumbent's — points the reference visits but never picks.
+// The incumbent changes which points are skipped, never the pick.
+// Evaluations still counts every grid point. All search scratch
+// (tables, bounds, fraction buffers, the refine vector) is
+// preallocated and reused, so a steady-state call performs a single
+// small allocation: the returned Result's caller-owned Fractions slice.
 //
 // A Warm is not safe for concurrent use; give each goroutine its own.
 // The zero value is ready.
 type Warm struct {
 	tables   [][]float64
 	tableBuf []float64
-	// Residual table of the 3-group scan: resIdx maps each grid point
-	// (row-major) to its distinct residual, and resFr holds the
-	// distinct residuals in ascending order. resStep is the grid step
-	// the index was built for (0, never a valid step, until the first
-	// build).
-	resStep float64
-	resIdx  []int32
-	resFr   []float64
+	// bands holds each table's band [lo, hi) as fillBand returned it.
+	bands [2]band
+	// res is the shared residual index of the last 3-group grid step.
+	res *residualIndex
+	// The last 3-group grid pick, point (hintI, hintJ) of a grid with
+	// hintSteps+1 values per group; hintSteps is 0, never a grid's,
+	// until the first pick.
+	hintSteps    int
+	hintI, hintJ int
 	// lastVal holds the last group's objective contributions for the
 	// current solve: by lastFr with two groups, by residual rank with
 	// three. lastFr[k] is the 2-group scan's last fraction 1−f₀ in row
@@ -63,11 +75,15 @@ type Warm struct {
 	pre1     []float64
 	suf1     []float64
 	pre2     []float64
-	fracs    []float64
 	bestBuf  []float64
 	refineFr []float64
 	trimmed  []float64
 }
+
+// band is the index range [lo, hi) of a table outside which fillBand
+// wrote no new value: entries below lo are +0, and entries from hi on
+// repeat the one at hi−1.
+type band struct{ lo, hi int }
 
 // Optimize is Optimize with warm-start: identical contract and results,
 // reusing this Warm's scratch buffers.
@@ -101,10 +117,11 @@ func (w *Warm) solve(models []GroupModel, supplyW float64, o Options) Result {
 // and calls Perf only where clampedPerf would: inside the band, plus
 // once at PeakEffW when some point lies above it. f_k is fr[k], or the
 // grid value float64(k)·step when fr is nil, and must never fall as k
-// rises. Entries below the band are +0, the reference's Count·0.
+// rises. Entries below the band are +0, the reference's Count·0. It
+// returns the band with the first point above it, if any, included.
 //
 // ghlint:allocfree
-func fillBand(dst, fr []float64, step float64, m *GroupModel, supplyW float64) {
+func fillBand(dst, fr []float64, step float64, m *GroupModel, supplyW float64) band {
 	count := float64(m.Count)
 	lo, hi := bandEdges(fr, step, len(dst), m, supplyW)
 	clear(dst[:lo])
@@ -117,6 +134,7 @@ func fillBand(dst, fr []float64, step float64, m *GroupModel, supplyW float64) {
 			dst[k] = top
 		}
 	}
+	return band{lo, min(hi+1, len(dst))}
 }
 
 // bandEdges returns the band [lo, hi) of n fractions f_k as fillBand
@@ -188,6 +206,12 @@ func (w *Warm) lastValues(n int) []float64 {
 // With three groups each row scans only the positions [lo, hi) that
 // window returns: every point outside them has a total ≤ best.perf, so
 // it could at most tie, and first-strict-improvement never picks it.
+// When the last 3-group pick was made on the same grid and the tables
+// are finite, the scan first evaluates that point, the incumbent, to v,
+// and window also drops every position whose bound is strictly below
+// v: the first point that attains the grid maximum has a bound ≥ the
+// maximum ≥ v, so it is still visited, and it still wins. best.perf
+// starts at −1 all the same, so the pick and its tie-break do not move.
 // The skipped points still count toward Evaluations, which therefore
 // matches the reference's count.
 //
@@ -252,11 +276,22 @@ func (w *Warm) gridSearchFast(s *search, step float64) candidate {
 		}
 	case 3:
 		t0, t1 := w.tables[0], w.tables[1]
-		w.indexResiduals(steps, step)
-		v2 := w.lastValues(len(w.resFr))
-		fillBand(v2, w.resFr, 0, last, s.supplyW)
-		prune := w.fillBounds(t0, t1, v2)
-		idx := w.resIdx
+		if w.res == nil || math.Float64bits(w.res.step) != math.Float64bits(step) {
+			w.res = residualCache.residualsFor(steps, step)
+		}
+		v2 := w.lastValues(len(w.res.fr))
+		b2 := fillBand(v2, w.res.fr, 0, last, s.supplyW)
+		prune := w.fillBounds(t0, t1, v2, b2)
+		// floor is the largest threshold below the incumbent's total:
+		// a bound ≤ floor is a bound < v.
+		floor := math.Inf(-1)
+		if prune && w.hintSteps == steps {
+			i, j := w.hintI, w.hintJ
+			v := (0.0 + t0[i]) + t1[j] + v2[w.res.idx[rowStart(steps, i)+j]]
+			floor = math.Nextafter(v, math.Inf(-1))
+		}
+		pickI, pickJ := -1, -1
+		idx := w.res.idx
 		for i := 0; i <= steps; i++ {
 			base := 0.0 + t0[i]
 			row := idx[:steps-i+1]
@@ -264,31 +299,48 @@ func (w *Warm) gridSearchFast(s *search, step float64) candidate {
 			s.evals += len(row)
 			lo, hi := 0, len(row)
 			if prune {
-				lo, hi = w.window(base, row, best.perf)
+				threshold := best.perf
+				if floor > threshold {
+					threshold = floor
+				}
+				lo, hi = w.window(base, row, threshold)
 			}
 			t1 := t1[:len(row)] // proves t1[j] in bounds
 			for j := lo; j < hi; j++ {
 				if total := base + t1[j] + v2[row[j]]; total > best.perf {
 					best.perf = total
-					f0, f1 := float64(i)*step, float64(j)*step
-					best.fracs[0] = f0
-					best.fracs[1] = f1
-					best.fracs[2] = residual(f0, f1)
+					pickI, pickJ = i, j
 				}
 			}
+		}
+		if pickI >= 0 {
+			f0, f1 := float64(pickI)*step, float64(pickJ)*step
+			best.fracs[0] = f0
+			best.fracs[1] = f1
+			best.fracs[2] = residual(f0, f1)
+			w.hintSteps, w.hintI, w.hintJ = steps, pickI, pickJ
 		}
 	}
 	return best
 }
 
-// fillBounds computes the 3-group scan's bounds into w.pre1, w.suf1 and
-// w.pre2, and reports whether every entry of t0, t1 and v2 is finite.
-// Only then may the scan prune: a NaN entry poisons a running maximum
-// that starts on it, and +Inf + −Inf makes a bound NaN, which compares
-// false against everything.
+// rowStart is the row-major position of point (i, 0) on a 3-group grid
+// with steps+1 values per group: rows 0..i-1 hold steps+1, steps, …
+// points.
 //
 // ghlint:allocfree
-func (w *Warm) fillBounds(t0, t1, v2 []float64) bool {
+func rowStart(steps, i int) int { return i*(steps+1) - i*(i-1)/2 }
+
+// fillBounds computes the 3-group scan's bounds into w.pre1, w.suf1 and
+// w.pre2 from the tables t0, t1 and v2, whose bands are w.bands[0],
+// w.bands[1] and b2, and reports whether every entry of the three is
+// finite. Only then may the scan prune: a NaN entry poisons a running
+// maximum that starts on it, and +Inf + −Inf makes a bound NaN, which
+// compares false against everything. Outside its band a table holds +0
+// or repeats, so only the band is checked and scanned.
+//
+// ghlint:allocfree
+func (w *Warm) fillBounds(t0, t1, v2 []float64, b2 band) bool {
 	if cap(w.pre1) < len(t1) {
 		w.pre1 = make([]float64, len(t1))
 		w.suf1 = make([]float64, len(t1))
@@ -297,32 +349,38 @@ func (w *Warm) fillBounds(t0, t1, v2 []float64) bool {
 		w.pre2 = make([]float64, len(v2))
 	}
 	w.pre1, w.suf1, w.pre2 = w.pre1[:len(t1)], w.suf1[:len(t1)], w.pre2[:len(v2)]
-	for _, v := range t0 {
+	if !bandFinite(t0, w.bands[0]) || !prefixMax(w.pre1, t1, w.bands[1]) || !prefixMax(w.pre2, v2, b2) {
+		return false
+	}
+	suffixMax(w.suf1, t1, w.bands[1])
+	return true
+}
+
+// bandFinite reports whether every entry of a table with band b is
+// finite: the +0 entries before the band are, and those after it
+// repeat one in it.
+//
+// ghlint:allocfree
+func bandFinite(src []float64, b band) bool {
+	for _, v := range src[b.lo:b.hi] {
 		if !finite(v) {
 			return false
 		}
 	}
-	if !prefixMax(w.pre1, t1) || !prefixMax(w.pre2, v2) {
-		return false
-	}
-	m := t1[len(t1)-1]
-	for j := len(t1) - 1; j >= 0; j-- {
-		if t1[j] > m {
-			m = t1[j]
-		}
-		w.suf1[j] = m
-	}
 	return true
 }
 
-// prefixMax sets dst[k] to the maximum of src[0..k] and reports
-// whether every entry of src is finite, stopping at the first that is
-// not.
+// prefixMax sets dst[k] to the maximum of src[0..k], a table with band
+// b, and reports whether every entry of src is finite, stopping at the
+// first that is not. The running maximum is +0 before the band and
+// constant after it.
 //
 // ghlint:allocfree
-func prefixMax(dst, src []float64) bool {
+func prefixMax(dst, src []float64, b band) bool {
+	clear(dst[:b.lo])
 	m := src[0]
-	for k, v := range src {
+	for k := b.lo; k < b.hi; k++ {
+		v := src[k]
 		if !finite(v) {
 			return false
 		}
@@ -331,7 +389,36 @@ func prefixMax(dst, src []float64) bool {
 		}
 		dst[k] = m
 	}
+	for k := b.hi; k < len(dst); k++ {
+		dst[k] = m
+	}
 	return true
+}
+
+// suffixMax sets dst[k] to the maximum of src[k..], a table with band b:
+// the repeated last value after the band, the running maximum inside
+// it, and one constant before it.
+//
+// ghlint:allocfree
+func suffixMax(dst, src []float64, b band) {
+	m := src[len(src)-1]
+	for k := b.hi; k < len(dst); k++ {
+		dst[k] = m
+	}
+	for k := b.hi - 1; k >= b.lo; k-- {
+		if src[k] > m {
+			m = src[k]
+		}
+		dst[k] = m
+	}
+	if b.lo > 0 {
+		if src[0] > m {
+			m = src[0]
+		}
+		for k := range dst[:b.lo] {
+			dst[k] = m
+		}
+	}
 }
 
 // finite reports whether v is neither NaN nor ±Inf; both comparisons
@@ -402,27 +489,60 @@ func residual(f0, f1 float64) float64 {
 	return f2
 }
 
-// indexResiduals builds the 3-group residual table for a grid step:
-// w.resFr gets the distinct residuals in ascending order, w.resIdx maps
-// each row-major grid point to its entry. Both depend on the step
-// alone, so a Warm rebuilds them only when the step's bits change. The
+// residualIndex is the 3-group residual table of one grid step: idx
+// maps each row-major grid point to its distinct residual, and fr holds
+// the distinct residuals in ascending order. It depends on the step
+// alone and is never written after newResidualIndex returns, so every
+// Warm on that step shares one.
+type residualIndex struct {
+	step float64
+	idx  []int32
+	fr   []float64
+}
+
+// maxCachedSteps bounds residualCache: a process solves on a handful of
+// grid steps (the ablations use four), so a full cache means a stream
+// of ad-hoc steps, and starting over keeps its memory flat.
+const maxCachedSteps = 8
+
+// residualIndexes holds the residual index of each grid step in use.
+type residualIndexes struct {
+	mu sync.Mutex
+	// ghlint:guardedby mu
+	byStep map[uint64]*residualIndex
+}
+
+// residualCache is the process's one residualIndexes.
+var residualCache = residualIndexes{byStep: make(map[uint64]*residualIndex)}
+
+// residualsFor returns the shared residual index of a grid step with
+// steps+1 values per group, building it on the step's first use. The
+// build runs under the cache's lock, so concurrent first uses wait for
+// one build instead of repeating it.
+//
+// ghlint:allocfree
+func (c *residualIndexes) residualsFor(steps int, step float64) *residualIndex {
+	key := math.Float64bits(step)
+	c.mu.Lock()
+	ri := c.byStep[key]
+	if ri == nil {
+		if len(c.byStep) >= maxCachedSteps {
+			clear(c.byStep)
+		}
+		ri = newResidualIndex(steps, step)
+		c.byStep[key] = ri
+	}
+	c.mu.Unlock()
+	return ri
+}
+
+// newResidualIndex builds the residual index of a grid step. The
 // distinct set is kept sorted by binary-search insertion — a one-time
 // cost per step (the 1 % grid has 420 distinct residuals). Residuals
 // are never NaN or −0, so equal values have equal bits.
-//
-// ghlint:allocfree
-func (w *Warm) indexResiduals(steps int, step float64) {
-	if math.Float64bits(w.resStep) == math.Float64bits(step) {
-		return
-	}
+func newResidualIndex(steps int, step float64) *residualIndex {
 	points := (steps + 1) * (steps + 2) / 2
-	if cap(w.resIdx) < points {
-		w.resIdx = make([]int32, points)
-	}
-	if cap(w.resFr) < points {
-		w.resFr = make([]float64, points)
-	}
-	distinct := w.resFr[:0]
+	distinct := make([]float64, 0, points)
 	for i := 0; i <= steps; i++ {
 		f0 := float64(i) * step
 		for j := 0; i+j <= steps; j++ {
@@ -436,7 +556,7 @@ func (w *Warm) indexResiduals(steps int, step float64) {
 			distinct[k] = r
 		}
 	}
-	idx := w.resIdx[:points]
+	idx := make([]int32, points)
 	p := 0
 	for i := 0; i <= steps; i++ {
 		f0 := float64(i) * step
@@ -445,9 +565,7 @@ func (w *Warm) indexResiduals(steps int, step float64) {
 			p++
 		}
 	}
-	w.resIdx = idx
-	w.resFr = distinct
-	w.resStep = step
+	return &residualIndex{step: step, idx: idx, fr: append([]float64(nil), distinct...)}
 }
 
 // searchSorted returns the first index of sorted whose value is ≥ v.
@@ -483,7 +601,7 @@ func (w *Warm) fillTables(s *search, steps int, step float64) {
 	w.tables = w.tables[:tabled]
 	for g := 0; g < tabled; g++ {
 		tbl := w.tableBuf[g*(steps+1) : (g+1)*(steps+1)]
-		fillBand(tbl, nil, step, &s.models[g], s.supplyW)
+		w.bands[g] = fillBand(tbl, nil, step, &s.models[g], s.supplyW)
 		w.tables[g] = tbl
 	}
 }

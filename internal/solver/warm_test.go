@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"greenhetero/internal/server"
@@ -197,12 +198,20 @@ func TestWarmMatchesOptimizeRandom(t *testing.T) {
 	}
 }
 
-// TestWarmPruneExactness aims the pruned 3-group scan at inputs where a
-// wrong bound would change the pick: ties everywhere, a group-1 table
-// that rises and then falls, totals that never beat the initial −1,
-// and tables holding NaN or infinities, where the scan must not prune.
-// Each must match the reference bit for bit.
-func TestWarmPruneExactness(t *testing.T) {
+// pruneFixture is one input of the pruned 3-group scan's exactness
+// tests.
+type pruneFixture struct {
+	name   string
+	models []GroupModel
+	supply float64
+}
+
+// pruneFixtures are inputs where a wrong bound would change the pick:
+// ties everywhere, a group-1 table that rises and then falls, totals
+// that never beat the initial −1, and tables holding NaN or
+// infinities, where the scan must not prune. pruneOptions are the
+// option sets they run under.
+func pruneFixtures() []pruneFixture {
 	comb := func() []GroupModel {
 		return []GroupModel{
 			curveModel(2, 35, 95, []float64{-40, 5.5, -0.012}),
@@ -212,11 +221,7 @@ func TestWarmPruneExactness(t *testing.T) {
 	}
 	negative := GroupModel{Count: 2, IdleW: 20, PeakEffW: 90,
 		Perf: func(p float64) float64 { return -2 - p/100 }}
-	fixtures := []struct {
-		name   string
-		models []GroupModel
-		supply float64
-	}{
+	return []pruneFixture{
 		{"quantized-plateau", []GroupModel{
 			plateauModel(comb()[0], 40),
 			plateauModel(comb()[1], 25),
@@ -249,14 +254,20 @@ func TestWarmPruneExactness(t *testing.T) {
 			bandModel(comb()[2], 0, 60, math.Inf(-1)),
 		}, 700},
 	}
-	optSet := []Options{
-		{},
-		{RefinePasses: -1},
-		{GridStep: 0.05, RefinePasses: -1},
-		{GridStep: 0.07},
-	}
-	for _, fx := range fixtures {
-		for _, o := range optSet {
+}
+
+var pruneOptions = []Options{
+	{},
+	{RefinePasses: -1},
+	{GridStep: 0.05, RefinePasses: -1},
+	{GridStep: 0.07},
+}
+
+// TestWarmPruneExactness runs the pruneFixtures through a fresh Warm;
+// each must match the reference bit for bit.
+func TestWarmPruneExactness(t *testing.T) {
+	for _, fx := range pruneFixtures() {
+		for _, o := range pruneOptions {
 			want, err := Optimize(fx.models, fx.supply, o)
 			if err != nil {
 				t.Fatalf("%s: reference: %v", fx.name, err)
@@ -267,6 +278,35 @@ func TestWarmPruneExactness(t *testing.T) {
 				t.Fatalf("%s: warm: %v", fx.name, err)
 			}
 			resultsBitEqual(t, fmt.Sprintf("%s %+v", fx.name, o), got, want)
+		}
+	}
+}
+
+// TestWarmIncumbentExactness plants the scan's incumbent, the last
+// grid pick, at every grid point of every pruneFixture: wherever it
+// sits, the solve must match the reference bit for bit. On
+// quantized-plateau later points tie the first maximizer, so a hint
+// there must not let the scan skip that maximizer; a hint on the
+// maximizer itself must not stop the scan from picking it.
+func TestWarmIncumbentExactness(t *testing.T) {
+	for _, fx := range pruneFixtures() {
+		for _, o := range pruneOptions {
+			want, err := Optimize(fx.models, fx.supply, o)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", fx.name, err)
+			}
+			steps := int(1/o.withDefaults().GridStep + 0.5)
+			var w Warm
+			for i := 0; i <= steps; i++ {
+				for j := 0; i+j <= steps; j++ {
+					w.hintSteps, w.hintI, w.hintJ = steps, i, j
+					got, err := w.Optimize(fx.models, fx.supply, o)
+					if err != nil {
+						t.Fatalf("%s: warm: %v", fx.name, err)
+					}
+					resultsBitEqual(t, fmt.Sprintf("%s %+v hint (%d, %d)", fx.name, o, i, j), got, want)
+				}
+			}
 		}
 	}
 }
@@ -470,6 +510,47 @@ func TestWarmResidualTablePerfCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 		resultsBitEqual(t, "residual table", got, ref)
+	}
+}
+
+// TestResidualIndexSharedFirstUse empties the process-wide residual
+// index cache and lets four Warms make their first 3-group solves on
+// one grid step at once: each must match the reference, and all must
+// share one index.
+func TestResidualIndexSharedFirstUse(t *testing.T) {
+	residualCache.mu.Lock()
+	clear(residualCache.byStep)
+	residualCache.mu.Unlock()
+	models := []GroupModel{
+		curveModel(5, 35, 95, []float64{-40, 5.5, -0.012}),
+		curveModel(5, 25, 70, []float64{-10, 3.2, -0.008}),
+		curveModel(5, 45, 130, []float64{-80, 6.1, -0.015}),
+	}
+	o := Options{GridStep: 0.02}
+	want, err := Optimize(models, 900, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warms := make([]Warm, 4)
+	got := make([]Result, len(warms))
+	errs := make([]error, len(warms))
+	var wg sync.WaitGroup
+	for k := range warms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k], errs[k] = warms[k].Optimize(models, 900, o)
+		}()
+	}
+	wg.Wait()
+	for k := range warms {
+		if errs[k] != nil {
+			t.Fatalf("warm %d: %v", k, errs[k])
+		}
+		resultsBitEqual(t, fmt.Sprintf("warm %d", k), got[k], want)
+		if warms[k].res != warms[0].res {
+			t.Fatalf("warm %d built its own residual index", k)
+		}
 	}
 }
 
