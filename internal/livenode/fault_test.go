@@ -38,26 +38,6 @@ func TestNodeSetTargetNonFinite(t *testing.T) {
 	}
 }
 
-// TestTrainingRunSingleSample pins the Samples=1 path: the sweep fraction
-// used to be 0/0 = NaN, which poisoned the power target.
-func TestTrainingRunSingleSample(t *testing.T) {
-	_, addrs, _ := liveRack(t)
-	spec := mustSpec(t, server.XeonE52620)
-	w := mustWorkload(t, workload.SPECjbb)
-	p := &Prober{GroupAddrs: addrs, Samples: 1, Timeout: 2 * time.Second}
-	res, err := p.TrainingRun(spec, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Samples) != 1 {
-		t.Fatalf("samples = %d, want 1", len(res.Samples))
-	}
-	s := res.Samples[0]
-	if math.IsNaN(s.X) || math.IsNaN(s.Y) || math.IsInf(s.X, 0) || math.IsInf(s.Y, 0) {
-		t.Errorf("single-sample training produced non-finite sample %+v", s)
-	}
-}
-
 // TestTrainingRunUnderFaults sweeps a node through a proxy injecting
 // seeded connection resets: the prober's retry policy must carry the
 // whole run through without aborting.
@@ -85,7 +65,6 @@ func TestTrainingRunUnderFaults(t *testing.T) {
 
 	prober := &Prober{
 		GroupAddrs: map[string][]string{spec.ID: {p.Addr()}},
-		Samples:    5,
 		Timeout:    time.Second,
 		Retry:      fastRetry(4),
 	}

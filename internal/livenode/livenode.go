@@ -111,15 +111,22 @@ func (n *Node) Sample() (telemetry.Reading, error) {
 	}, nil
 }
 
+// trainingSamples is the number of samples per training run: the
+// paper's 5, as in the simulator's training runs.
+const trainingSamples = 5
+
 // Prober implements core.Prober over live agents: training runs sweep one
 // node of the target group through its power band via "set", reading the
 // meter after each step — Fig. 7's training run, over TCP.
+//
+// The live sweep runs from IdleW+1 to the nameplate PeakW, where the
+// simulated one (workload.Plant.Sweep) stops at the workload's PeakEffW:
+// a node's PeakEffW is not visible over the wire, so the prober sets
+// targets up to nameplate and lets the node's own draw cap the readings.
 type Prober struct {
 	// GroupAddrs maps a server configuration id to the agent addresses
 	// of that group's nodes; training uses the first node.
 	GroupAddrs map[string][]string
-	// Samples per training run (paper: 5). Zero means 5.
-	Samples int
 	// Timeout per wire operation. Zero means 2 s.
 	Timeout time.Duration
 	// Retry bounds per-operation retries during the run (zero fields
@@ -137,10 +144,6 @@ func (p *Prober) TrainingRun(spec server.Spec, w workload.Workload) (core.Traini
 	if len(addrs) == 0 {
 		return core.TrainingResult{}, fmt.Errorf("livenode: no agents for %s", spec.ID)
 	}
-	samples := p.Samples
-	if samples == 0 {
-		samples = 5
-	}
 	timeout := p.Timeout
 	if timeout == 0 {
 		timeout = 2 * time.Second
@@ -154,15 +157,9 @@ func (p *Prober) TrainingRun(spec server.Spec, w workload.Workload) (core.Traini
 	}
 	defer c.Close()
 
-	// A single-sample sweep has one step, not zero: divide by
-	// max(samples-1, 1) so frac is 0, never the NaN of 0/0.
-	steps := samples - 1
-	if steps < 1 {
-		steps = 1
-	}
-	res := core.TrainingResult{Samples: make([]fit.Sample, 0, samples)}
-	for i := 0; i < samples; i++ {
-		frac := float64(i) / float64(steps)
+	res := core.TrainingResult{Samples: make([]fit.Sample, 0, trainingSamples)}
+	for i := 0; i < trainingSamples; i++ {
+		frac := float64(i) / (trainingSamples - 1)
 		target := spec.IdleW + 1 + frac*(spec.PeakW-spec.IdleW-1)
 		if err := c.SetTarget(ctx, addr, target); err != nil {
 			return core.TrainingResult{}, fmt.Errorf("livenode: training set: %w", err)

@@ -127,7 +127,7 @@ func TestProberTrainingRunOverTCP(t *testing.T) {
 	_, addrs, _ := liveRack(t)
 	spec := mustSpec(t, server.XeonE52620)
 	w := mustWorkload(t, workload.SPECjbb)
-	p := &Prober{GroupAddrs: addrs, Samples: 5, Timeout: 2 * time.Second}
+	p := &Prober{GroupAddrs: addrs, Timeout: 2 * time.Second}
 	res, err := p.TrainingRun(spec, w)
 	if err != nil {
 		t.Fatal(err)

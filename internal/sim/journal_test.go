@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"greenhetero/internal/wal"
@@ -179,27 +180,146 @@ func TestJournalOpsPerCommit(t *testing.T) {
 // this protocol is refused before any state is decoded.
 func TestJournalRejectsForeignEntries(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		write func(*wal.Store) error
+		name, file string
+		seq        uint64
+		typ        byte
+		data       string
 	}{
-		{"schema-1-snapshot", func(s *wal.Store) error {
-			return s.SaveSnapshot(0, []byte(`{"schema":1,"session":{}}`))
-		}},
-		{"intent-record", func(s *wal.Store) error { return s.Append(1, []byte(`{"epoch":0}`)) }},
-		{"bare-state-record", func(s *wal.Store) error { return s.Append(recState, []byte(`{"epoch":3}`)) }},
+		{"schema-1-snapshot", snapName(0), 0, typeSnapshot, `{"schema":1,"session":{}}`},
+		{"intent-record", segName(1), 1, 1, `{"epoch":0}`},
+		{"bare-state-record", segName(1), 1, recState, `{"epoch":3}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fsys := wal.NewCrashFS(1)
-			st, _, err := wal.Open(fsys, nil)
+			b, err := appendFrame(nil, tc.seq, tc.typ, []byte(tc.data))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.write(st); err != nil {
-				t.Fatal(err)
-			}
+			plantFile(t, fsys, tc.file, b)
 			if _, _, err := OpenJournal(fsys, 2, nil); !errors.Is(err, ErrBadState) {
 				t.Errorf("err = %v, want ErrBadState", err)
 			}
 		})
 	}
+}
+
+// TestJournalReopen: a journal reopened after a crashed commit carries
+// on exactly as a fresh open of the same files would, at every
+// crashpoint of a run; and a refused Reopen leaves it closed.
+func TestJournalReopen(t *testing.T) {
+	const every, commits, seed = 3, 9, 11
+	// run commits until the session reaches epoch epochs, rewinding to
+	// the recovered state after each failed commit. Crashpoint k counts
+	// from the first op after the open (0 disarms); ops reports how
+	// many ran after it.
+	run := func(t *testing.T, k, epochs int) (fsys *wal.CrashFS, j *Journal, s *Session, ops int, crashed bool) {
+		fsys = wal.NewCrashFS(seed)
+		j, _, err := OpenJournal(fsys, every, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened := fsys.Ops()
+		if k > 0 {
+			fsys.SetCrashAt(opened + k)
+		}
+		if s, err = NewSession(baseConfig(t)); err != nil {
+			t.Fatal(err)
+		}
+		for s.Epoch() < epochs {
+			if _, err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Commit(s, nil, nil); err == nil {
+				continue
+			}
+			crashed = true
+			fsys.Recover()
+			rec, err := j.Reopen()
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if s, err = NewSession(baseConfig(t)); err != nil {
+				t.Fatal(err)
+			}
+			if rec.State != nil {
+				if err := s.RestoreState(rec.State); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return fsys, j, s, fsys.Ops() - opened, crashed
+	}
+
+	// Crash at every op of the first commits-1 commits: each fails a
+	// commit no later than the last one.
+	_, _, _, ops, _ := run(t, 0, commits-1)
+	for k := 1; k <= ops; k++ {
+		t.Run(fmt.Sprintf("crash-%d", k), func(t *testing.T) {
+			fsys, j, s, _, crashed := run(t, k, commits)
+			if !crashed {
+				t.Fatalf("crashpoint %d failed no commit", k)
+			}
+			fresh, rec, err := OpenJournal(fsys, every, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Segments() != fresh.Segments() || j.LastSnapshotEpoch() != fresh.LastSnapshotEpoch() {
+				t.Errorf("reopened journal: %d segments, last snapshot %d; a fresh open: %d, %d",
+					j.Segments(), j.LastSnapshotEpoch(), fresh.Segments(), fresh.LastSnapshotEpoch())
+			}
+			st, err := s.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(rec.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("a fresh open restores %d bytes of state, not the %d of the last commit", len(got), len(want))
+			}
+		})
+	}
+
+	t.Run("refused", func(t *testing.T) {
+		fsys := wal.NewCrashFS(seed)
+		j, _, err := OpenJournal(fsys, every, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(baseConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ { // a snapshot, then record 1 in segment 1
+			if _, err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Commit(s, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := appendFrame(nil, 2, 1, []byte(`{"epoch":2}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plantFile(t, fsys, segName(2), b)
+		if _, err := j.Reopen(); !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), "type 1") {
+			t.Fatalf("Reopen over a type-1 record: err = %v, want ErrBadState naming type 1", err)
+		}
+		ops := fsys.Ops()
+		if err := j.Commit(s, nil, nil); err == nil {
+			t.Error("Commit after a refused Reopen succeeded")
+		}
+		if err := j.Checkpoint(s, nil); err == nil {
+			t.Error("Checkpoint after a refused Reopen succeeded")
+		}
+		if got := fsys.Ops(); got != ops {
+			t.Errorf("commits after a refused Reopen ran %d storage ops, want 0", got-ops)
+		}
+	})
 }

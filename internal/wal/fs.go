@@ -1,23 +1,9 @@
-// Package wal implements the durable-state plane under sim.Journal: a
-// segmented, CRC32C-framed write-ahead log plus atomic snapshots over a
-// small filesystem abstraction. Every record the journal appends is a
-// full session state, so recovery is a read, not a re-execution: Open
-// restores the newest valid snapshot and the verified log tail after
-// it, and the journal takes the last state in commit order. Snapshots
-// are written with the write-temp → fsync → rename → fsync-dir
-// discipline and prune the log behind them, so a crash at any instant
-// leaves either the old state or the new state on disk — never a torn
-// mixture presented as valid.
-//
-// A segment runs from an Open or a snapshot to the next snapshot, so
-// the log is one segment unless the store was reopened since the last
-// snapshot. A torn or corrupt tail is truncated with a logged warning —
-// the dropped records were never durably committed — so recovery never
-// refuses to start over tail damage.
-//
-// The FS seam exists for the deterministic crash-injection harness
-// (CrashFS): production uses DirFS over a real directory with real
-// fsyncs, tests use an in-memory filesystem that loses unsynced data at
+// Package wal is the filesystem seam under sim.Journal, which owns the
+// state dir's format (frames, file names, snapshots and recovery). It
+// holds only what the journal writes through: FS, a flat namespace of
+// files with explicit Sync and SyncDir durability points, and File.
+// Production uses DirFS over a real directory with real fsyncs; the
+// crash suites use CrashFS, an in-memory FS that loses unsynced data at
 // a scheduled crashpoint exactly the way a power cut does.
 package wal
 
@@ -40,7 +26,7 @@ type File interface {
 	Close() error
 }
 
-// FS is the flat-namespace filesystem the store runs on. Names never
+// FS is the flat-namespace filesystem the journal runs on. Names never
 // contain path separators. Implementations: DirFS (production, real
 // fsyncs) and CrashFS (deterministic crash injection).
 type FS interface {
