@@ -21,13 +21,18 @@
 // while nothing else can change the session: the next step task and a
 // WAL recovery both discard it, and the serial bid phase computes any
 // bid it lacks exactly as before, so where a bid is computed never
-// reaches the result.
+// reaches the result. Set-up goes through the same runner.For before
+// the first epoch: task i builds rack i's session, result and breaker
+// into rack i's slots from its own lease and its own derived seed, so
+// the fleet starts identically at every parallelism, and a set-up error
+// is the lowest failing rack's.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"greenhetero/internal/battery"
 	"greenhetero/internal/breaker"
@@ -244,8 +249,9 @@ type Config struct {
 	// it with a stable per-rack key (runner.DeriveSeed), so racks have
 	// independent noise but the fleet run is reproducible bit-for-bit.
 	Seed int64
-	// Parallelism bounds concurrent rack steps within an epoch: 0 = one
-	// worker per CPU, 1 = serial. Results are identical at every level.
+	// Parallelism bounds concurrent rack set-ups before the first epoch
+	// and concurrent rack steps within an epoch: 0 = one worker per
+	// CPU, 1 = serial. Results are identical at every level.
 	Parallelism int
 	// Disturber, when non-nil, injects per-epoch disturbances (chaos):
 	// see the Disturbance effect vector. Nil leaves the run undisturbed
@@ -415,7 +421,11 @@ func (cfg Config) validate() (Config, error) {
 // allocator the moment it vanishes from the bid vector, and the share
 // it would have commanded is recorded in SiteEpoch.RedistributedW.
 // Setup failures (NewSession) still abort: those are configuration
-// errors, not runtime faults.
+// errors, not runtime faults. The racks are set up through runner.For
+// at cfg.Parallelism, so the error is the lowest failing rack's,
+// "cluster: rack <name>: …", at every parallelism, and a panic inside
+// a rack's set-up returns as a *runner.PanicError instead of crashing
+// the caller.
 func Run(cfg Config) (*FleetResult, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
@@ -437,7 +447,9 @@ func Run(cfg Config) (*FleetResult, error) {
 	sessions := make([]*sim.Session, n)
 	results := make([]*sim.Result, n)
 	ctl := make([]rackCtl, n)
-	for i, rc := range cfg.Racks {
+	err = runner.For(cfg.Parallelism, n, func(i int) error {
+		rc := &cfg.Racks[i]
+		name := rc.Rack.Name()
 		s, err := sim.NewSession(sim.Config{
 			Rack:           rc.Rack,
 			Workload:       rc.Workload,
@@ -446,16 +458,20 @@ func Run(cfg Config) (*FleetResult, error) {
 			Solar:          cfg.Solar,
 			Epochs:         cfg.Epochs,
 			Bank:           site.Lease(i),
-			Seed:           runner.DeriveSeed(cfg.Seed, fmt.Sprintf("rack/%d/%s", i, rc.Rack.Name())),
+			Seed:           runner.DeriveSeed(cfg.Seed, "rack/"+strconv.Itoa(i)+"/"+name),
 		})
 		if err != nil {
-			return nil, fmt.Errorf("cluster: rack %s: %w", rc.Rack.Name(), err)
+			return fmt.Errorf("cluster: rack %s: %w", name, err)
 		}
 		sessions[i] = s
 		results[i] = s.NewResult()
 		ctl[i].brk = breaker.New(cfg.Breaker, defaultRackThreshold)
 		ctl[i].downSince = -1
-		ctl[i].health.Name = rc.Rack.Name()
+		ctl[i].health.Name = name
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var dist *Disturbance

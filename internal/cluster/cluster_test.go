@@ -15,6 +15,7 @@ import (
 
 	"greenhetero/internal/policy"
 	"greenhetero/internal/server"
+	"greenhetero/internal/sim"
 	"greenhetero/internal/solar"
 	"greenhetero/internal/trace"
 	"greenhetero/internal/workload"
@@ -419,6 +420,42 @@ func TestRackFailurePropagates(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "rack-b") {
 		t.Errorf("error %v does not name the failing rack", err)
+	}
+
+	// Set-up runs through runner.For: in a fleet whose chunks hold
+	// several racks, with two racks unbuildable in neighbouring chunks,
+	// every parallelism must report the lower-index rack, byte for byte.
+	tr, err := solar.DefaultHigh(4500 * 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	racks := make([]RackConfig, 96)
+	for i := range racks {
+		racks[i] = RackConfig{
+			Rack:     rackOf(t, fmt.Sprintf("rack-%02d", i), []string{server.XeonE52620}, 4),
+			Workload: mustWorkload(t, workload.SPECjbb),
+			Policy:   policy.Solver{Adaptive: true},
+		}
+	}
+	for _, i := range []int{47, 48} {
+		racks[i].GroupWorkloads = []workload.Workload{{}}
+	}
+	fleet := Config{Racks: racks, Solar: tr, SiteGridBudgetW: 96 * 1000, Epochs: 2, Seed: 7}
+	var first string
+	for _, p := range []int{1, 4, 0} {
+		fleet.Parallelism = p
+		_, err := Run(fleet)
+		if err == nil {
+			t.Fatalf("parallelism %d: rack failure should propagate", p)
+		}
+		if !errors.Is(err, sim.ErrBadConfig) || !strings.HasPrefix(err.Error(), "cluster: rack rack-47: ") {
+			t.Errorf("parallelism %d: error %q, want rack-47's bad config", p, err)
+		}
+		if p == 1 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Errorf("parallelism %d: error %q, want %q as at parallelism 1", p, err, first)
+		}
 	}
 }
 

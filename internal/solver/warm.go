@@ -25,7 +25,9 @@ import (
 //     filled by fillBand, which calls Perf only where a server's power
 //     lies between IdleW and PeakEffW and fills the rest with Eq. 8's
 //     clamped values. The scan's bounds are computed only inside each
-//     band; the flat parts outside it are known.
+//     band; the flat parts outside it are known. A single group has
+//     no table: its scan visits only its band and the first point
+//     above it.
 //   - A pruned 3-group scan: each row visits only the window of points
 //     whose upper bound (prefix and suffix maxima of the tables) still
 //     strictly beats the best total so far; see gridSearchFast.
@@ -232,25 +234,28 @@ func (w *Warm) gridSearchFast(s *search, step float64) candidate {
 
 	switch n {
 	case 1:
-		// fillBand's values, computed in the scan: a table here would
-		// cost every one-group rack of a fleet its own buffer.
+		// fillBand's values, computed in the scan (a table here would
+		// cost every one-group rack of a fleet its own buffer), and
+		// only where they can win: below the band every total is +0,
+		// so only point 0 can beat the starting −1, and fracs[0] is
+		// already 0; from hi on every total is the flat top, so only
+		// point hi can.
 		lo, hi := bandEdges(nil, step, steps+1, last, s.supplyW)
 		count := float64(last.Count)
-		var top float64
-		if hi <= steps {
-			top = count * last.Perf(last.PeakEffW)
-		}
 		s.evals += steps + 1
-		for i := 0; i <= steps; i++ {
-			var v float64
-			if i >= hi {
-				v = top
-			} else if i >= lo {
-				v = count * last.Perf(float64(i)*step*s.supplyW/count)
-			}
-			if total := 0.0 + v; total > best.perf {
+		if lo > 0 {
+			best.perf = 0
+		}
+		for i := lo; i < hi; i++ {
+			if total := 0.0 + count*last.Perf(float64(i)*step*s.supplyW/count); total > best.perf {
 				best.perf = total
 				best.fracs[0] = float64(i) * step
+			}
+		}
+		if hi <= steps {
+			if total := 0.0 + count*last.Perf(last.PeakEffW); total > best.perf {
+				best.perf = total
+				best.fracs[0] = float64(hi) * step
 			}
 		}
 	case 2:

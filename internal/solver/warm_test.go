@@ -430,6 +430,69 @@ func TestWarmBandEdges(t *testing.T) {
 	resultsBitEqual(t, "one-group optimum", got, Result{Fractions: []float64{0.25}, PredictedPerf: 250, Evaluations: 9})
 }
 
+// TestWarmOneGroupBand pins the one-group scan, which evaluates only
+// its band [lo, hi) and the first point above it, to the reference
+// scan over every grid point. On a 1/8 grid of an 800 W supply each
+// point is 100 W apart, so every case places the band exactly; the
+// cases cover a band at either end of the grid, an empty band, a
+// one-point band, no point above peak, an infinite supply, NaN inside
+// the band and ties between the band, the points below it and the flat
+// top. One Warm runs every case in turn, so no case starts from clean
+// scratch.
+func TestWarmOneGroupBand(t *testing.T) {
+	const step = 0.125
+	// line is an unclamped group whose Perf is f(p): only the solver's
+	// clamp applies Eq. 8.
+	line := func(idleW, peakEffW float64, f func(p float64) float64) GroupModel {
+		return GroupModel{Count: 1, IdleW: idleW, PeakEffW: peakEffW, Perf: f}
+	}
+	ident := func(p float64) float64 { return p }
+	var w Warm
+	for _, tc := range []struct {
+		name   string
+		m      GroupModel
+		supply float64
+		lo, hi int // the band bandEdges must report
+	}{
+		{"edges on grid points", vModel(1, 200, 600, 450), 800, 2, 7},
+		{"band from the first positive point", line(50, 650, ident), 800, 1, 7},
+		{"only the last point above peak", line(200, 750, ident), 800, 2, 8},
+		{"no point above peak", line(200, 900, ident), 800, 2, 9},
+		{"empty band between points", line(250, 280, ident), 800, 3, 3},
+		{"every point below idle", line(900, 1000, ident), 800, 9, 9},
+		{"one-point band", line(250, 350, ident), 800, 3, 4},
+		{"one-point band, top loses", vModel(1, 250, 350, 330), 800, 3, 4},
+		// Zero of an infinite supply is a NaN power, inside the band.
+		{"infinite supply", line(200, 600, ident), math.Inf(1), 0, 1},
+		{"infinite supply, negative band", line(200, 600, func(float64) float64 { return -2 }), math.Inf(1), 0, 1},
+		{"NaN inside the band", bandModel(line(200, 600, ident), 300, 500, math.NaN()), 800, 2, 7},
+		{"NaN top", bandModel(line(200, 600, ident), 600, 601, math.NaN()), 800, 2, 7},
+		// Every in-band point and the top tie: the first in-band point wins.
+		{"tied plateau", line(200, 600, func(float64) float64 { return 5 }), 800, 2, 7},
+		// The band's maximum equals the top: its first point wins, not hi.
+		{"plateau tied with the top", line(200, 600, func(p float64) float64 { return math.Min(p, 400) }), 800, 2, 7},
+		// The band ties the +0 below it: point 0 keeps the pick.
+		{"zero band", line(50, 650, func(float64) float64 { return 0 }), 800, 1, 7},
+	} {
+		if lo, hi := bandEdges(nil, step, 9, &tc.m, tc.supply); lo != tc.lo || hi != tc.hi {
+			t.Fatalf("%s: band [%d, %d), want [%d, %d)", tc.name, lo, hi, tc.lo, tc.hi)
+		}
+		models := []GroupModel{tc.m}
+		for _, o := range []Options{{GridStep: step, RefinePasses: -1}, {GridStep: step}} {
+			label := fmt.Sprintf("%s %+v", tc.name, o)
+			want, err := Optimize(models, tc.supply, o)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			got, err := w.Optimize(models, tc.supply, o)
+			if err != nil {
+				t.Fatalf("%s: warm: %v", label, err)
+			}
+			resultsBitEqual(t, label, got, want)
+		}
+	}
+}
+
 // comb5Models is the paper's Comb5 rack (Table IV): e5-2620, e5-2603
 // and i5-4460, five servers each, on SPECjbb.
 func comb5Models(t testing.TB) []GroupModel {
