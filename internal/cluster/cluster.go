@@ -254,8 +254,8 @@ type Config struct {
 	// CPU, 1 = serial. Results are identical at every level.
 	Parallelism int
 	// Disturber, when non-nil, injects per-epoch disturbances (chaos):
-	// see the Disturbance effect vector. Nil leaves the run undisturbed
-	// and bit-identical to a pre-chaos fleet run.
+	// see the Disturbance effect vector. Nil leaves the vector all clear
+	// every epoch: the run of a Disturber that never writes it.
 	Disturber Disturber
 	// Breaker tunes the per-rack circuit breaker that quarantines
 	// repeatedly failing racks (zero fields = defaults: threshold 2,
@@ -367,6 +367,9 @@ func (cfg Config) validate() (Config, error) {
 	if cfg.Solar == nil {
 		return cfg, fmt.Errorf("%w: nil solar trace", ErrBadConfig)
 	}
+	if err := cfg.Solar.Validate(); err != nil {
+		return cfg, fmt.Errorf("%w: solar %w", ErrBadConfig, err)
+	}
 	if cfg.Epochs < 1 {
 		return cfg, fmt.Errorf("%w: epochs %d", ErrBadConfig, cfg.Epochs)
 	}
@@ -411,7 +414,25 @@ func (cfg Config) validate() (Config, error) {
 }
 
 // Run simulates the fleet: per-epoch site allocation over live rack
-// sessions, racks stepping in parallel between barriers.
+// sessions, racks stepping in parallel between barriers. It is the
+// loop over a Fleet: NewFleet, Step until Done, then Result.
+func Run(cfg Config) (*FleetResult, error) {
+	f, err := NewFleet(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for !f.Done() {
+		if err := f.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return f.Result(), nil
+}
+
+// Fleet is a fleet run stepped one site epoch at a time, the fleet's
+// counterpart of sim.Session. Each Step runs the epoch's phases in
+// order: disturb, classify (with WAL recovery), bid, split (with the
+// carve), ghost pricing, the step barrier, bookkeeping and settle.
 //
 // The fleet degrades instead of failing the epoch. A rack whose bid or
 // step errors — or that a Disturber marks down — is skipped for the
@@ -420,20 +441,46 @@ func (cfg Config) validate() (Config, error) {
 // A missing rack's PV/battery/grid share is redistributed by the live
 // allocator the moment it vanishes from the bid vector, and the share
 // it would have commanded is recorded in SiteEpoch.RedistributedW.
-// Setup failures (NewSession) still abort: those are configuration
-// errors, not runtime faults. The racks are set up through runner.For
-// at cfg.Parallelism, so the error is the lowest failing rack's,
+type Fleet struct {
+	cfg          Config
+	site         *battery.SiteBank
+	sessions     []*sim.Session
+	results      []*sim.Result
+	ctl          []rackCtl
+	dist         *Disturbance // the epoch's effects; all clear without a Disturber
+	capacityFrac float64      // site bank capacity left after the fades so far
+	ckRack       int          // the checkpointed rack, -1 without a Checkpointer
+	ckDirty      bool         // an uncommitted (crashed) epoch forces recovery
+	epochs       []SiteEpoch
+	err          error // the error that stopped the run
+
+	// The epoch being built, rewritten by every Step.
+	se                 SiteEpoch
+	supply             Supply
+	heldPVW, heldGridW float64 // partitioned racks' grants, off the top
+	k                  int     // bidding racks: bids[:k], idx[:k]
+	mode               []rackMode
+	bids               []float64 // compact: one entry per bidding rack
+	idx                []int     // rack index per compact slot
+	weights            []float64 // compact allocator output
+	weightsFull        []float64 // scattered to rack indexing
+	ghostBids, ghostW  []float64 // scratch: redistribution pricing
+	outs               []stepOutcome
+}
+
+// NewFleet validates cfg and sets up every rack's session. Set-up
+// failures (NewSession) abort: those are configuration errors, not
+// runtime faults. The racks are set up through runner.For at
+// cfg.Parallelism, so the error is the lowest failing rack's,
 // "cluster: rack <name>: …", at every parallelism, and a panic inside
 // a rack's set-up returns as a *runner.PanicError instead of crashing
 // the caller.
-func Run(cfg Config) (*FleetResult, error) {
+func NewFleet(cfg Config) (*Fleet, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
 	n := len(cfg.Racks)
-	d := cfg.Solar.Step
-
 	site, err := battery.NewSiteBank(cfg.SiteBattery, n)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: site bank: %w", err)
@@ -443,10 +490,16 @@ func Run(cfg Config) (*FleetResult, error) {
 			return nil, fmt.Errorf("cluster: site bank: %w", err)
 		}
 	}
-
-	sessions := make([]*sim.Session, n)
-	results := make([]*sim.Result, n)
-	ctl := make([]rackCtl, n)
+	f := &Fleet{
+		cfg: cfg, site: site, dist: NewDisturbance(n), capacityFrac: 1, ckRack: -1,
+		sessions: make([]*sim.Session, n), results: make([]*sim.Result, n), ctl: make([]rackCtl, n),
+		epochs: make([]SiteEpoch, 0, cfg.Epochs), mode: make([]rackMode, n), idx: make([]int, n),
+		bids: make([]float64, n), weights: make([]float64, n), weightsFull: make([]float64, n),
+		ghostBids: make([]float64, n), ghostW: make([]float64, n), outs: make([]stepOutcome, n),
+	}
+	if ck := cfg.Checkpointer; ck != nil {
+		f.ckRack = ck.Rack()
+	}
 	err = runner.For(cfg.Parallelism, n, func(i int) error {
 		rc := &cfg.Racks[i]
 		name := rc.Rack.Name()
@@ -463,338 +516,328 @@ func Run(cfg Config) (*FleetResult, error) {
 		if err != nil {
 			return fmt.Errorf("cluster: rack %s: %w", name, err)
 		}
-		sessions[i] = s
-		results[i] = s.NewResult()
-		ctl[i].brk = breaker.New(cfg.Breaker, defaultRackThreshold)
-		ctl[i].downSince = -1
-		ctl[i].health.Name = name
+		f.sessions[i] = s
+		f.results[i] = s.NewResult()
+		f.ctl[i].brk = breaker.New(cfg.Breaker, defaultRackThreshold)
+		f.ctl[i].downSince = -1
+		f.ctl[i].health.Name = name
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	var dist *Disturbance
-	if cfg.Disturber != nil {
-		dist = NewDisturbance(n)
-	}
-	ck := cfg.Checkpointer
-	ckRack := -1
-	ckDirty := false // an uncommitted (crashed) epoch forces recovery
-	if ck != nil {
-		ckRack = ck.Rack()
-	}
-
-	out := &FleetResult{
-		Allocator: cfg.Allocator.Name(),
-		Site:      make([]SiteEpoch, 0, cfg.Epochs),
-	}
-	var (
-		mode        = make([]rackMode, n)
-		failErr     = make([]error, n)
-		bids        = make([]float64, n) // compact: one entry per bidding rack
-		idx         = make([]int, n)     // rack index per compact slot
-		weights     = make([]float64, n) // compact allocator output
-		weightsFull = make([]float64, n) // scattered to rack indexing
-		ghostBids   = make([]float64, n) // scratch: redistribution pricing
-		ghostW      = make([]float64, n)
-		outs        = make([]stepOutcome, n) // step slots, rewritten every epoch
-	)
-	capacityFrac := 1.0
-	for e := 0; e < cfg.Epochs; e++ {
-		// 0. Let the disturber write this epoch's effect vector, and
-		// apply any battery aging to the shared bank.
-		if dist != nil {
-			dist.Reset()
-			cfg.Disturber.Disturb(e, dist)
-			if f := dist.BatteryCapacityFrac; f < capacityFrac {
-				if err := site.Bank().Fade(f / capacityFrac); err != nil {
-					return nil, fmt.Errorf("cluster: battery fade: %w", err)
-				}
-				capacityFrac = f
-			}
-		}
-
-		// 1. Classify every rack for the epoch, serially in rack order.
-		// Partitioned racks hold their last grant, reserved off the top
-		// of the split below.
-		quarantined := 0
-		var heldPVW, heldGridW float64
-		for i := range sessions {
-			c := &ctl[i]
-			failErr[i] = nil
-			switch {
-			case dist != nil && dist.Absent[i]:
-				mode[i] = modeAbsent
-				c.health.AbsentEpochs++
-			case !c.brk.Allow():
-				mode[i] = modeCooling
-				c.health.QuarantinedEpochs++
-				quarantined++
-			case dist != nil && dist.Down[i]:
-				mode[i] = modeFail
-				failErr[i] = errRackDown
-			case dist != nil && dist.Partitioned[i]:
-				mode[i] = modeHeld
-				c.health.PartitionedEpochs++
-				heldPVW += c.heldPVW
-				heldGridW += c.heldGridW
-			default:
-				mode[i] = modeServe
-			}
-		}
-
-		// 1b. WAL recovery: after a crashed commit the checkpointed
-		// rack's in-memory session is notionally lost — before its next
-		// attempt it must restore from durable state.
-		if ck != nil && ckDirty && (mode[ckRack] == modeServe || mode[ckRack] == modeHeld) {
-			ctl[ckRack].bidFresh = false
-			if err := ck.Recover(e, sessions[ckRack]); err != nil {
-				mode[ckRack] = modeFail
-				failErr[ckRack] = fmt.Errorf("recover: %w", err)
-			} else {
-				ckDirty = false
-				ctl[ckRack].health.Recoveries++
-			}
-		}
-
-		// 2. Collect demand bids from the serving racks, serially in
-		// rack order, into a compact vector — a missing rack's absence
-		// here is what redistributes its share. A bid the rack's worker
-		// computed after its last step is used while still fresh.
-		var bidTotal float64
-		k := 0
-		for i, s := range sessions {
-			if mode[i] != modeServe {
-				continue
-			}
-			c := &ctl[i]
-			b, err := c.nextBidW, c.nextBidErr
-			if !c.bidFresh {
-				b, err = s.DemandBidW()
-			}
-			if err != nil {
-				mode[i] = modeFail
-				failErr[i] = fmt.Errorf("bid: %w", err)
-				continue
-			}
-			c.lastBidW = b
-			c.haveBid = true
-			idx[k] = i
-			bids[k] = b
-			bidTotal += b
-			k++
-		}
-
-		// 3. Split the site supply over the serving racks. Held grants
-		// come off the top; a price spike's demand response scales the
-		// grid budget.
-		pv := cfg.Solar.At(e)
-		gridBudgetW := cfg.SiteGridBudgetW
-		if dist != nil {
-			gridBudgetW *= dist.GridBudgetScaleFrac
-		}
-		splitPV := pv - heldPVW
-		if splitPV < 0 {
-			splitPV = 0
-		}
-		splitGrid := gridBudgetW - heldGridW
-		if splitGrid < 0 {
-			splitGrid = 0
-		}
-		supply := Supply{
-			RenewableW:        splitPV,
-			BatteryDischargeW: site.Bank().AvailableDischargeW(d),
-			BatteryChargeW:    site.Bank().AcceptableChargeW(d),
-			GridBudgetW:       splitGrid,
-		}
-		for i := range weightsFull {
-			weightsFull[i] = 0
-		}
-		if k > 0 {
-			if err := cfg.Allocator.Weights(bids[:k], supply, weights[:k]); err != nil {
-				return nil, fmt.Errorf("cluster: allocator %s: %w", cfg.Allocator.Name(), err)
-			}
-			var wsum float64
-			for j, w := range weights[:k] {
-				if w < 0 || math.IsNaN(w) {
-					return nil, fmt.Errorf("cluster: allocator %s: weight[%d] = %v", cfg.Allocator.Name(), idx[j], w)
-				}
-				wsum += w
-			}
-			if wsum > 1+1e-9 {
-				return nil, fmt.Errorf("cluster: allocator %s: weights sum to %v > 1", cfg.Allocator.Name(), wsum)
-			}
-			for j := 0; j < k; j++ {
-				weightsFull[idx[j]] = weights[j]
-			}
-		}
-		if err := site.Carve(weightsFull, d); err != nil {
-			return nil, fmt.Errorf("cluster: carve: %w", err)
-		}
-
-		// 3b. Redistribution accounting: price what the missing racks
-		// would have commanded by re-running the allocator over the
-		// serving bids plus the missing racks' last-known bids. Pure
-		// reporting — the real split above never sees these ghosts.
-		var redistributedW float64
-		g := k
-		for i := range mode {
-			if (mode[i] == modeFail || mode[i] == modeCooling) && ctl[i].haveBid {
-				ghostBids[g] = ctl[i].lastBidW
-				g++
-			}
-		}
-		if g > k {
-			copy(ghostBids[:k], bids[:k])
-			if err := cfg.Allocator.Weights(ghostBids[:g], supply, ghostW[:g]); err == nil {
-				pot := supply.PotentialW()
-				for j := k; j < g; j++ {
-					redistributedW += ghostW[j] * pot
-				}
-			}
-		}
-
-		// 4. Apply flash-crowd demand scaling, serially, pre-barrier.
-		if dist != nil {
-			for i, s := range sessions {
-				if mode[i] != modeServe && mode[i] != modeHeld {
-					continue
-				}
-				if err := s.SetIntensityScale(dist.IntensityScale[i]); err != nil {
-					return nil, fmt.Errorf("cluster: rack %s: %w", cfg.Racks[i].Rack.Name(), err)
-				}
-			}
-		}
-
-		// 5. Step the live racks in parallel (the per-epoch barrier).
-		// Task i touches only rack i's session, control block and slot,
-		// and never returns an error: a failed step is an outcome, not
-		// an abort. A served rack then commits (the checkpointed rack)
-		// and bids for the next epoch while its state is cache-hot.
-		err := runner.For(cfg.Parallelism, n, func(i int) error {
-			o, c := &outs[i], &ctl[i]
-			*o = stepOutcome{}
-			c.bidFresh = false
-			var a sim.Allocation
-			switch mode[i] {
-			case modeServe:
-				a = sim.Allocation{
-					RenewableW:  weightsFull[i] * supply.RenewableW,
-					GridBudgetW: weightsFull[i] * supply.GridBudgetW,
-				}
-			case modeHeld:
-				a = sim.Allocation{RenewableW: c.heldPVW, GridBudgetW: c.heldGridW}
-			default:
-				return nil
-			}
-			if dist != nil {
-				// Weather-front derate lands after the split: the
-				// allocator priced clear-sky supply, so the front hits as
-				// forecast error.
-				a.RenewableW *= dist.PVScaleFrac[i]
-			}
-			s := sessions[i]
-			if o.er, o.err = s.StepAllocated(a); o.err != nil {
-				return nil
-			}
-			o.served = true
-			if i == ckRack {
-				o.commitErr = ck.Commit(e, s)
-			}
-			c.nextBidW, c.nextBidErr = s.DemandBidW()
-			c.bidFresh = true
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: epoch %d: %w", e, err)
-		}
-
-		// 6. Post-barrier bookkeeping, serially in rack order: breaker
-		// transitions (a failed WAL commit of the checkpointed rack
-		// among them), epoch records. Every session is then aligned to
-		// the site clock — skipped racks advance without consuming
-		// their noise stream.
-		se := SiteEpoch{
-			Epoch:            e,
-			RenewableW:       supply.RenewableW,
-			BidW:             bidTotal,
-			QuarantinedRacks: quarantined,
-			RedistributedW:   redistributedW,
-		}
-		for i := range outs {
-			c := &ctl[i]
-			switch {
-			case mode[i] == modeAbsent:
-				// pre-startup: no bookkeeping
-			case mode[i] == modeCooling:
-				se.DownRacks++
-			case failErr[i] != nil || outs[i].err != nil:
-				c.brk.Fail()
-				if c.downSince < 0 {
-					c.downSince = e
-				}
-				c.health.FailedEpochs++
-				se.DownRacks++
-			case outs[i].served:
-				committed := outs[i].commitErr == nil
-				if !committed {
-					ckDirty = true
-				}
-				// The physical epoch happened either way; record it.
-				results[i].Epochs = append(results[i].Epochs, outs[i].er)
-				se.SupplyW += outs[i].er.SupplyW
-				se.GridW += outs[i].er.GridW
-				c.health.ServedEpochs++
-				if mode[i] == modeServe {
-					c.heldPVW = weightsFull[i] * supply.RenewableW
-					c.heldGridW = weightsFull[i] * supply.GridBudgetW
-				}
-				if committed {
-					if c.brk.Succeed() {
-						c.health.Quarantines = append(c.health.Quarantines,
-							Quarantine{FromEpoch: c.downSince, RejoinEpoch: e, RecoveryEpochs: e - c.downSince})
-					}
-					c.downSince = -1
-				} else {
-					// Served, but the daemon crashed before the epoch was
-					// durable: a breaker failure, and the rack recovers
-					// from the WAL before its next attempt.
-					c.brk.Fail()
-					if c.downSince < 0 {
-						c.downSince = e
-					}
-				}
-			}
-			for sessions[i].Epoch() <= e {
-				sessions[i].SkipEpoch()
-			}
-		}
-
-		// 7. Settle the shared bank in rack-index order and record the
-		// site trace.
-		settle := site.Settle(d)
-		se.BatteryOutW = settle.DischargeW
-		se.BatteryInW = settle.ChargeRenewableW + settle.ChargeGridW
-		se.BatterySoC = site.Bank().SoC()
-		out.Site = append(out.Site, se)
-	}
-
-	out.BatteryCycles = site.Bank().Cycles()
-	out.Racks = make([]RackResult, n)
-	out.Health = make([]RackHealth, n)
-	for i, rc := range cfg.Racks {
-		out.Racks[i] = RackResult{Name: rc.Rack.Name(), Result: results[i]}
-		c := &ctl[i]
-		if c.brk.State() != breaker.Closed {
-			// Still down when the run ended: leave the episode open.
-			c.health.Quarantines = append(c.health.Quarantines,
-				Quarantine{FromEpoch: c.downSince, RejoinEpoch: -1, RecoveryEpochs: -1})
-		}
-		out.Health[i] = c.health
-	}
-	return out, nil
+	return f, nil
 }
 
-// errRackDown marks a disturbance-injected crash window.
-var errRackDown = errors.New("cluster: rack down (disturbance)")
+// Done reports whether the fleet has run its configured epochs.
+func (f *Fleet) Done() bool { return len(f.epochs) >= f.cfg.Epochs }
+
+// Step runs the next site epoch. An error (an allocator's bad weights,
+// a bank fault, a rejected demand scale, a panic in the step barrier)
+// stops the fleet: from then on Step returns that error again and
+// touches no rack, as it returns an error once Done.
+func (f *Fleet) Step() error {
+	if f.err != nil {
+		return f.err
+	}
+	if f.Done() {
+		return fmt.Errorf("cluster: fleet stepped past its %d epochs", f.cfg.Epochs)
+	}
+	e := len(f.epochs)
+	f.se = SiteEpoch{Epoch: e}
+	if f.err = f.disturb(e); f.err != nil {
+		return f.err
+	}
+	f.classify(e)
+	f.bid()
+	if f.err = f.split(e); f.err != nil {
+		return f.err
+	}
+	f.priceGhosts()
+	if f.err = f.stepRacks(e); f.err != nil {
+		return f.err
+	}
+	f.bookkeep(e)
+	f.settle()
+	return nil
+}
+
+// Result reports the run so far. Its rack records are the fleet's own
+// and grow with later steps. A rack still down is reported with an
+// open quarantine episode (RejoinEpoch -1).
+func (f *Fleet) Result() *FleetResult {
+	out := &FleetResult{
+		Allocator:     f.cfg.Allocator.Name(),
+		Racks:         make([]RackResult, len(f.ctl)),
+		Site:          f.epochs,
+		BatteryCycles: f.site.Bank().Cycles(),
+		Health:        make([]RackHealth, len(f.ctl)),
+	}
+	for i := range f.ctl {
+		c := &f.ctl[i]
+		out.Racks[i] = RackResult{Name: c.health.Name, Result: f.results[i]}
+		h := c.health
+		if c.brk.State() != breaker.Closed {
+			q := h.Quarantines
+			h.Quarantines = append(q[:len(q):len(q)],
+				Quarantine{FromEpoch: c.downSince, RejoinEpoch: -1, RecoveryEpochs: -1})
+		}
+		out.Health[i] = h
+	}
+	return out
+}
+
+// disturb lets the Disturber write epoch e's effect vector and applies
+// any battery aging to the shared bank.
+func (f *Fleet) disturb(e int) error {
+	if dr := f.cfg.Disturber; dr != nil {
+		f.dist.Reset()
+		dr.Disturb(e, f.dist)
+	}
+	if fr := f.dist.BatteryCapacityFrac; fr < f.capacityFrac {
+		if err := f.site.Bank().Fade(fr / f.capacityFrac); err != nil {
+			return fmt.Errorf("cluster: battery fade: %w", err)
+		}
+		f.capacityFrac = fr
+	}
+	return nil
+}
+
+// classify sorts every rack into its epoch mode, serially in rack
+// order. Partitioned racks hold their last grant, reserved off the top
+// of the split. After a crashed commit the checkpointed rack's
+// in-memory session is notionally lost: before its next attempt it
+// restores from durable state.
+func (f *Fleet) classify(e int) {
+	f.heldPVW, f.heldGridW = 0, 0
+	for i := range f.ctl {
+		c := &f.ctl[i]
+		switch {
+		case f.dist.Absent[i]:
+			f.mode[i] = modeAbsent
+			c.health.AbsentEpochs++
+		case !c.brk.Allow():
+			f.mode[i] = modeCooling
+			c.health.QuarantinedEpochs++
+			f.se.QuarantinedRacks++
+		case f.dist.Down[i]:
+			f.mode[i] = modeFail
+		case f.dist.Partitioned[i]:
+			f.mode[i] = modeHeld
+			f.heldPVW += c.heldPVW
+			f.heldGridW += c.heldGridW
+		default:
+			f.mode[i] = modeServe
+		}
+	}
+	if r := f.ckRack; f.ckDirty && (f.mode[r] == modeServe || f.mode[r] == modeHeld) {
+		f.ctl[r].bidFresh = false
+		if err := f.cfg.Checkpointer.Recover(e, f.sessions[r]); err != nil {
+			f.mode[r] = modeFail
+		} else {
+			f.ckDirty = false
+			f.ctl[r].health.Recoveries++
+		}
+	}
+}
+
+// bid collects demand bids from the serving racks, serially in rack
+// order, into a compact vector: a missing rack's absence here is what
+// redistributes its share. A bid the rack's worker computed after its
+// last step is used while still fresh. A rack whose bid errors fails
+// the epoch.
+func (f *Fleet) bid() {
+	f.k = 0
+	for i, s := range f.sessions {
+		if f.mode[i] != modeServe {
+			continue
+		}
+		c := &f.ctl[i]
+		b, err := c.nextBidW, c.nextBidErr
+		if !c.bidFresh {
+			b, err = s.DemandBidW()
+		}
+		if err != nil {
+			f.mode[i] = modeFail
+			continue
+		}
+		c.lastBidW, c.haveBid = b, true
+		f.idx[f.k], f.bids[f.k] = i, b
+		f.se.BidW += b
+		f.k++
+	}
+}
+
+// split divides epoch e's site supply over the bidding racks and
+// carves the shared bank into their leases. Held grants come off the
+// top; a price spike's demand response scales the grid budget.
+func (f *Fleet) split(e int) error {
+	d := f.cfg.Solar.Step
+	splitPV := f.cfg.Solar.At(e) - f.heldPVW
+	if splitPV < 0 {
+		splitPV = 0
+	}
+	splitGrid := f.cfg.SiteGridBudgetW*f.dist.GridBudgetScaleFrac - f.heldGridW
+	if splitGrid < 0 {
+		splitGrid = 0
+	}
+	f.supply = Supply{
+		RenewableW:        splitPV,
+		BatteryDischargeW: f.site.Bank().AvailableDischargeW(d),
+		BatteryChargeW:    f.site.Bank().AcceptableChargeW(d),
+		GridBudgetW:       splitGrid,
+	}
+	f.se.RenewableW = splitPV
+	clear(f.weightsFull)
+	if k, alloc := f.k, f.cfg.Allocator; k > 0 {
+		if err := alloc.Weights(f.bids[:k], f.supply, f.weights[:k]); err != nil {
+			return fmt.Errorf("cluster: allocator %s: %w", alloc.Name(), err)
+		}
+		var wsum float64
+		for j, w := range f.weights[:k] {
+			if w < 0 || math.IsNaN(w) {
+				return fmt.Errorf("cluster: allocator %s: weight[%d] = %v", alloc.Name(), f.idx[j], w)
+			}
+			wsum += w
+		}
+		if wsum > 1+1e-9 {
+			return fmt.Errorf("cluster: allocator %s: weights sum to %v > 1", alloc.Name(), wsum)
+		}
+		for j, i := range f.idx[:k] {
+			f.weightsFull[i] = f.weights[j]
+		}
+	}
+	if err := f.site.Carve(f.weightsFull, d); err != nil {
+		return fmt.Errorf("cluster: carve: %w", err)
+	}
+	return nil
+}
+
+// priceGhosts prices what the missing racks would have commanded by
+// re-running the allocator over the serving bids plus the missing
+// racks' last-known bids. Pure reporting: the real split never sees
+// these ghosts.
+func (f *Fleet) priceGhosts() {
+	k, g := f.k, f.k
+	for i, m := range f.mode {
+		if (m == modeFail || m == modeCooling) && f.ctl[i].haveBid {
+			f.ghostBids[g] = f.ctl[i].lastBidW
+			g++
+		}
+	}
+	if g == k {
+		return
+	}
+	copy(f.ghostBids[:k], f.bids[:k])
+	if err := f.cfg.Allocator.Weights(f.ghostBids[:g], f.supply, f.ghostW[:g]); err == nil {
+		pot := f.supply.PotentialW()
+		for _, w := range f.ghostW[k:g] {
+			f.se.RedistributedW += w * pot
+		}
+	}
+}
+
+// stepRacks steps the live racks in parallel (the per-epoch barrier).
+// Task i touches only rack i's session, control block and slot: it
+// sets the rack's demand scale and steps it under its allocation. A
+// failed step is an outcome, not an abort; a rejected scale aborts the
+// run. A served rack then commits (the checkpointed rack) and bids for
+// the next epoch while its state is cache-hot.
+func (f *Fleet) stepRacks(e int) error {
+	err := runner.For(f.cfg.Parallelism, len(f.sessions), func(i int) error {
+		o, c := &f.outs[i], &f.ctl[i]
+		*o = stepOutcome{}
+		c.bidFresh = false
+		var a sim.Allocation
+		switch f.mode[i] {
+		case modeServe:
+			a = sim.Allocation{
+				RenewableW:  f.weightsFull[i] * f.supply.RenewableW,
+				GridBudgetW: f.weightsFull[i] * f.supply.GridBudgetW,
+			}
+		case modeHeld:
+			a = sim.Allocation{RenewableW: c.heldPVW, GridBudgetW: c.heldGridW}
+		default:
+			return nil
+		}
+		// Weather-front derate lands after the split: the allocator
+		// priced clear-sky supply, so the front hits as forecast error.
+		a.RenewableW *= f.dist.PVScaleFrac[i]
+		s := f.sessions[i]
+		if err := s.SetIntensityScale(f.dist.IntensityScale[i]); err != nil {
+			return fmt.Errorf("rack %s: %w", c.health.Name, err)
+		}
+		if o.er, o.err = s.StepAllocated(a); o.err != nil {
+			return nil
+		}
+		if i == f.ckRack {
+			o.commitErr = f.cfg.Checkpointer.Commit(e, s)
+		}
+		c.nextBidW, c.nextBidErr = s.DemandBidW()
+		c.bidFresh = true
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("cluster: epoch %d: %w", e, err)
+	}
+	return nil
+}
+
+// bookkeep applies epoch e's outcomes serially in rack order: breaker
+// transitions (a failed WAL commit of the checkpointed rack among
+// them) and epoch records. Every session is then aligned to the site
+// clock; skipped racks advance without consuming their noise stream.
+func (f *Fleet) bookkeep(e int) {
+	for i := range f.outs {
+		c, o := &f.ctl[i], &f.outs[i]
+		switch {
+		case f.mode[i] == modeAbsent:
+			// pre-startup: no bookkeeping
+		case f.mode[i] == modeCooling:
+			f.se.DownRacks++
+		case f.mode[i] == modeFail || o.err != nil:
+			c.fail(e)
+			c.health.FailedEpochs++
+			f.se.DownRacks++
+		default:
+			// Served. The physical epoch happened whether or not it
+			// commits; record it.
+			f.results[i].Epochs = append(f.results[i].Epochs, o.er)
+			f.se.SupplyW += o.er.SupplyW
+			f.se.GridW += o.er.GridW
+			c.health.ServedEpochs++
+			if f.mode[i] == modeServe {
+				c.heldPVW = f.weightsFull[i] * f.supply.RenewableW
+				c.heldGridW = f.weightsFull[i] * f.supply.GridBudgetW
+			} else {
+				c.health.PartitionedEpochs++
+			}
+			if o.commitErr != nil {
+				// Served, but the daemon crashed before the epoch was
+				// durable: a breaker failure, and the rack recovers
+				// from the WAL before its next attempt.
+				f.ckDirty = true
+				c.fail(e)
+				break
+			}
+			if c.brk.Succeed() {
+				c.health.Quarantines = append(c.health.Quarantines,
+					Quarantine{FromEpoch: c.downSince, RejoinEpoch: e, RecoveryEpochs: e - c.downSince})
+			}
+			c.downSince = -1
+		}
+		for f.sessions[i].Epoch() <= e {
+			f.sessions[i].SkipEpoch()
+		}
+	}
+}
+
+// settle settles the shared bank in rack-index order and records the
+// epoch's site totals.
+func (f *Fleet) settle() {
+	st := f.site.Settle(f.cfg.Solar.Step)
+	f.se.BatteryOutW = st.DischargeW
+	f.se.BatteryInW = st.ChargeRenewableW + st.ChargeGridW
+	f.se.BatterySoC = f.site.Bank().SoC()
+	f.epochs = append(f.epochs, f.se)
+}

@@ -107,6 +107,43 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestBadTraceRejected: a hand-built solar trace that breaks the trace
+// rule table (trace.Validate) fails both a rack session and a fleet
+// with their ErrBadConfig, before the first epoch runs.
+func TestBadTraceRejected(t *testing.T) {
+	tests := []struct {
+		name   string
+		step   time.Duration
+		sample float64
+	}{
+		{"zero step", 0, 900},
+		{"NaN sample", cfgStep(), math.NaN()},
+		{"+Inf sample", cfgStep(), math.Inf(1)},
+		{"negative sample", cfgStep(), -1},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			vals := constVals(900, 24)
+			vals[5] = tt.sample
+			bad := &trace.Trace{Name: "bad", Start: simStart(), Step: tt.step, Values: vals}
+			cfg := twoRackConfig(t)
+			rc := cfg.Racks[0]
+			_, err := sim.NewSession(sim.Config{
+				Rack: rc.Rack, Workload: rc.Workload, Policy: rc.Policy, Solar: bad, Epochs: 4,
+			})
+			if !errors.Is(err, sim.ErrBadConfig) {
+				t.Errorf("NewSession err = %v, want sim.ErrBadConfig", err)
+			}
+			cfg.Solar = bad
+			epochs := 0
+			cfg.Disturber = scriptedDisturber(func(int, *Disturbance) { epochs++ })
+			if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) || epochs != 0 {
+				t.Errorf("Run err = %v after %d epochs, want ErrBadConfig before the first", err, epochs)
+			}
+		})
+	}
+}
+
 func TestAllocatorByName(t *testing.T) {
 	for _, a := range Allocators() {
 		got, err := AllocatorByName(a.Name())

@@ -1,9 +1,9 @@
-// Degraded-mode fleet coordination: the types that let Run keep
+// Degraded-mode fleet coordination: the types that let a Fleet keep
 // allocating when racks misbehave instead of aborting the epoch.
 //
 // A Disturber (the chaos engine) writes a per-epoch effect vector —
 // crashed racks, agent partitions, PV derates, demand surges, grid and
-// battery shocks — and Run absorbs it: a rack whose step fails is
+// battery shocks — and the Fleet absorbs it: a rack whose step fails is
 // quarantined under a per-rack circuit breaker (internal/breaker, the
 // same one that guards telemetry agents), its share of PV/battery/grid
 // is redistributed by the live allocator from the next epoch simply by
@@ -58,7 +58,7 @@ type Disturbance struct {
 	GridBudgetScaleFrac float64
 	// BatteryCapacityFrac is the site bank's remaining capacity as a
 	// fraction of nameplate (battery aging). Must be non-increasing over
-	// epochs; Run applies the delta to the shared bank via Fade.
+	// epochs; the Fleet applies the delta to the shared bank via Fade.
 	//
 	// ghlint:units frac
 	BatteryCapacityFrac float64
@@ -104,9 +104,9 @@ type Disturber interface {
 // stepped the rack and concurrently with other racks' steps, so it may
 // touch only that rack's session and the Checkpointer's own state. An
 // error (e.g. a CrashFS crashpoint tearing the write) counts as a
-// breaker failure, and Run calls Recover — serially, between barriers —
-// before the rack's next attempt so the rack resumes from durable
-// state, not from the in-memory session the crash notionally
+// breaker failure, and the Fleet calls Recover — serially, between
+// barriers — before the rack's next attempt so the rack resumes from
+// durable state, not from the in-memory session the crash notionally
 // destroyed.
 type Checkpointer interface {
 	// Rack is the index of the checkpointed rack.
@@ -185,6 +185,15 @@ type rackCtl struct {
 	health RackHealth
 }
 
+// fail charges the rack's breaker with a failed epoch e and opens a
+// quarantine episode at e unless one is open.
+func (c *rackCtl) fail(e int) {
+	c.brk.Fail()
+	if c.downSince < 0 {
+		c.downSince = e
+	}
+}
+
 // per-epoch rack modes, assigned serially before the parallel barrier.
 type rackMode uint8
 
@@ -199,9 +208,8 @@ const (
 // stepOutcome is one rack's slot in the step barrier, written only by
 // the worker that stepped the rack.
 type stepOutcome struct {
-	er     sim.EpochResult
-	served bool
-	err    error
+	er  sim.EpochResult
+	err error
 	// commitErr is the checkpointed rack's Checkpointer.Commit error.
 	commitErr error
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"greenhetero/internal/battery"
@@ -183,27 +185,30 @@ func TestAbsentStartup(t *testing.T) {
 	}
 }
 
+// degradedStorm downs, partitions, derates and surges the two-rack
+// fleet, then cuts its grid budget and ages its bank.
+func degradedStorm(e int, d *Disturbance) {
+	switch {
+	case e == 2 || e == 3:
+		d.Down[0] = true
+	case e >= 5 && e < 8:
+		d.Partitioned[1] = true
+	case e == 9:
+		d.PVScaleFrac[0] = 0.3
+		d.IntensityScale[1] = 1.5
+	case e == 11:
+		d.GridBudgetScaleFrac = 0.5
+		d.BatteryCapacityFrac = 0.9
+	}
+}
+
 // TestDegradedDeterminism: a stormy run is bit-identical across
 // parallelism levels — all mutation stays serial.
 func TestDegradedDeterminism(t *testing.T) {
-	storm := func(e int, d *Disturbance) {
-		switch {
-		case e == 2 || e == 3:
-			d.Down[0] = true
-		case e >= 5 && e < 8:
-			d.Partitioned[1] = true
-		case e == 9:
-			d.PVScaleFrac[0] = 0.3
-			d.IntensityScale[1] = 1.5
-		case e == 11:
-			d.GridBudgetScaleFrac = 0.5
-			d.BatteryCapacityFrac = 0.9
-		}
-	}
 	run := func(par int) *FleetResult {
 		cfg := twoRackConfig(t)
 		cfg.Parallelism = par
-		cfg.Disturber = scriptedDisturber(storm)
+		cfg.Disturber = scriptedDisturber(degradedStorm)
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -389,5 +394,124 @@ func TestCheckpointerValidation(t *testing.T) {
 	cfg.Checkpointer = &fakeCk{rack: 9}
 	if _, err := Run(cfg); err == nil {
 		t.Error("out-of-range checkpointer rack accepted")
+	}
+}
+
+// fleetMark is what a Step changes: the site trace's length, each
+// rack's record count and each session's epoch.
+func fleetMark(f *Fleet) []int {
+	m := []int{len(f.Result().Site)}
+	for i, s := range f.sessions {
+		m = append(m, len(f.results[i].Epochs), s.Epoch())
+	}
+	return m
+}
+
+// TestFleetStepByStep steps TestDegradedDeterminism's stormy fleet by
+// hand and checks the health ledger after every epoch: each epoch lands
+// a rack in exactly one of served, failed, quarantined and absent,
+// partitioned epochs are served ones, and every served epoch left one
+// record. The final result is Run's, and a step past the end fails
+// without touching a rack.
+func TestFleetStepByStep(t *testing.T) {
+	cfg := twoRackConfig(t)
+	cfg.Disturber = scriptedDisturber(degradedStorm)
+	f, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 1; !f.Done(); e++ {
+		if err := f.Step(); err != nil {
+			t.Fatalf("step %d: %v", e, err)
+		}
+		res := f.Result()
+		if len(res.Site) != e {
+			t.Fatalf("step %d: %d site epochs", e, len(res.Site))
+		}
+		for i, h := range res.Health {
+			if got := h.ServedEpochs + h.FailedEpochs + h.QuarantinedEpochs + h.AbsentEpochs; got != e {
+				t.Errorf("step %d rack %s: %d epochs accounted for: %+v", e, h.Name, got, h)
+			}
+			if h.PartitionedEpochs > h.ServedEpochs {
+				t.Errorf("step %d rack %s: partitioned %d > served %d", e, h.Name, h.PartitionedEpochs, h.ServedEpochs)
+			}
+			if got := len(res.Racks[i].Result.Epochs); got != h.ServedEpochs {
+				t.Errorf("step %d rack %s: %d records for %d served epochs", e, h.Name, got, h.ServedEpochs)
+			}
+		}
+	}
+	if got := len(f.Result().Site); got != cfg.Epochs {
+		t.Fatalf("done after %d of %d epochs", got, cfg.Epochs)
+	}
+	ref := twoRackConfig(t)
+	ref.Disturber = scriptedDisturber(degradedStorm)
+	want, err := Run(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := f.Result()
+	fleetEqual(t, "stepped by hand", want, got)
+	if !reflect.DeepEqual(want.Health, got.Health) {
+		t.Errorf("health differs:\n%+v\n%+v", want.Health, got.Health)
+	}
+
+	mark := fleetMark(f)
+	if err := f.Step(); err == nil {
+		t.Error("Step after Done returned no error")
+	}
+	if after := fleetMark(f); !reflect.DeepEqual(mark, after) {
+		t.Errorf("Step after Done moved the fleet: %v -> %v", mark, after)
+	}
+}
+
+// TestIntensityAbort: a Disturber that writes a demand scale the
+// session rejects aborts the run with sim.ErrBadConfig naming the
+// lowest-index rack, identically at parallelism 1 and 4. The stopped
+// fleet then returns the same error from every Step and touches no
+// rack.
+func TestIntensityAbort(t *testing.T) {
+	const abortAt = 3
+	build := func(par int) Config {
+		cfg := twoRackConfig(t)
+		cfg.Parallelism = par
+		cfg.Disturber = scriptedDisturber(func(e int, d *Disturbance) {
+			if e == abortAt {
+				d.IntensityScale[0], d.IntensityScale[1] = 0, 0
+			}
+		})
+		return cfg
+	}
+	var first string
+	for _, par := range []int{1, 4} {
+		res, err := Run(build(par))
+		if res != nil || !errors.Is(err, sim.ErrBadConfig) || !strings.Contains(err.Error(), "rack rack-a: ") {
+			t.Fatalf("parallelism %d: Run = %v, %v; want rack-a's bad config", par, res, err)
+		}
+		if par == 1 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Errorf("parallelism %d: error %q, want %q as at parallelism 1", par, err, first)
+		}
+	}
+
+	f, err := NewFleet(build(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < abortAt; e++ {
+		if err := f.Step(); err != nil {
+			t.Fatalf("step %d: %v", e, err)
+		}
+	}
+	stop := f.Step()
+	if stop == nil || stop.Error() != first {
+		t.Fatalf("aborting step: %v, want %q", stop, first)
+	}
+	mark := fleetMark(f)
+	if err := f.Step(); err != stop {
+		t.Errorf("Step after the abort = %v, want the abort's error", err)
+	}
+	if after := fleetMark(f); !reflect.DeepEqual(mark, after) {
+		t.Errorf("Step after the abort moved the fleet: %v -> %v", mark, after)
 	}
 }

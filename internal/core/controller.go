@@ -138,7 +138,7 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("%w: nil prober", ErrBadConfig)
 	case cfg.Epoch <= 0:
 		return nil, fmt.Errorf("%w: epoch %v", ErrBadConfig, cfg.Epoch)
-	case cfg.GridBudgetW < 0:
+	case !(cfg.GridBudgetW >= 0):
 		return nil, fmt.Errorf("%w: grid budget %v", ErrBadConfig, cfg.GridBudgetW)
 	}
 	var ren timeseries.Predictor = cfg.RenewablePredictor
@@ -242,8 +242,8 @@ type Observation struct {
 // ghlint:allocfree
 func (c *Controller) Step(obs Observation, groupWs []workload.Workload) (Decision, error) {
 	obsRenewableW, obsDemandW := obs.RenewableW, obs.DemandW
-	if obsRenewableW < 0 || obsDemandW < 0 {
-		return Decision{}, fmt.Errorf("core: negative observation ren=%v dem=%v", obsRenewableW, obsDemandW)
+	if !(obsRenewableW >= 0) || !(obsDemandW >= 0) {
+		return Decision{}, fmt.Errorf("core: negative or NaN observation ren=%v dem=%v", obsRenewableW, obsDemandW)
 	}
 	if len(groupWs) != c.cfg.Rack.NumGroups() {
 		return Decision{}, fmt.Errorf("core: %d workloads for %d groups", len(groupWs), c.cfg.Rack.NumGroups())
@@ -484,7 +484,7 @@ func (c *Controller) Feedback(groupWs []workload.Workload, groupSamples [][]fit.
 // ghlint:allocfree
 // ghlint:units w=W
 func (c *Controller) SetGridBudgetW(w float64) error {
-	if w < 0 {
+	if !(w >= 0) {
 		return fmt.Errorf("%w: grid budget %v", ErrBadConfig, w)
 	}
 	c.cfg.GridBudgetW = w

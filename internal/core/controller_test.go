@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -105,6 +106,7 @@ func TestNewValidation(t *testing.T) {
 		{"nil prober", func(c *Config) { c.Prober = nil }},
 		{"zero epoch", func(c *Config) { c.Epoch = 0 }},
 		{"negative grid", func(c *Config) { c.GridBudgetW = -1 }},
+		{"NaN grid", func(c *Config) { c.GridBudgetW = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -242,6 +244,17 @@ func TestNegativeObservationRejected(t *testing.T) {
 	}
 	if _, err := ctrl.Step(Observation{RenewableW: 1, DemandW: -100}, uniform(ctrl, mustWorkload(t, workload.SPECjbb))); err == nil {
 		t.Error("negative demand must error")
+	}
+	if _, err := ctrl.Step(Observation{RenewableW: math.NaN(), DemandW: 100}, uniform(ctrl, mustWorkload(t, workload.SPECjbb))); err == nil {
+		t.Error("NaN renewable must error")
+	}
+	if _, err := ctrl.Step(Observation{RenewableW: 1, DemandW: math.NaN()}, uniform(ctrl, mustWorkload(t, workload.SPECjbb))); err == nil {
+		t.Error("NaN demand must error")
+	}
+	for _, w := range []float64{-1, math.NaN()} {
+		if err := ctrl.SetGridBudgetW(w); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("SetGridBudgetW(%v) err = %v, want ErrBadConfig", w, err)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// ChanboundAnalyzer enforces the bounded-concurrency contract the
-// telemetry-scale refactor (ROADMAP item 4) will be built under:
+// ChanboundAnalyzer enforces the bounded-concurrency contract of the
+// telemetry plane and the daemon that hosts it:
 // "backpressure instead of unbounded queues" is only a slogan until
 // every channel in the collector plane has a reasoned size and every
 // send has a provable way out.

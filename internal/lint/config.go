@@ -67,8 +67,8 @@ var wallClockAllowed = map[string]bool{
 }
 
 // backpressureScope lists the packages under the bounded-concurrency
-// contract (chanbound): the telemetry plane being rebuilt for 10k-agent
-// scale (ROADMAP item 4) and the daemon that hosts it. Channels here
+// contract (chanbound): the telemetry plane, which must hold up at
+// 10k-agent scale, and the daemon that hosts it. Channels here
 // must declare their capacity policy and sends must prove an escape;
 // the rest of the repo opts in as its concurrency structure migrates.
 var backpressureScope = map[string]bool{

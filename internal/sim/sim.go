@@ -143,6 +143,9 @@ func (c *Config) withDefaults() (Config, error) {
 	case out.GridBudgetW < 0 || math.IsNaN(out.GridBudgetW):
 		return out, fmt.Errorf("%w: grid budget %v", ErrBadConfig, out.GridBudgetW)
 	}
+	if err := out.Solar.Validate(); err != nil {
+		return out, fmt.Errorf("%w: solar %w", ErrBadConfig, err)
+	}
 	if out.GroupWorkloads == nil {
 		if out.Workload.ID == "" {
 			return out, fmt.Errorf("%w: empty workload", ErrBadConfig)

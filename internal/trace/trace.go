@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 )
@@ -34,16 +35,34 @@ var (
 	ErrBadStep = errors.New("trace: step must be positive")
 	// ErrEmpty is returned for operations that need at least one sample.
 	ErrEmpty = errors.New("trace: empty trace")
+	// ErrBadSample is returned for a NaN, infinite or negative sample.
+	ErrBadSample = errors.New("trace: sample must be finite and non-negative")
 )
 
-// New constructs a trace, validating the step.
+// New constructs a trace and validates it.
 func New(name string, start time.Time, step time.Duration, values []float64) (*Trace, error) {
-	if step <= 0 {
-		return nil, fmt.Errorf("%w: %v", ErrBadStep, step)
-	}
 	v := make([]float64, len(values))
 	copy(v, values)
-	return &Trace{Name: name, Start: start, Step: step, Values: v}, nil
+	t := &Trace{Name: name, Start: start, Step: step, Values: v}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Validate is a trace's one rule table: a positive step, and every
+// sample finite and non-negative (a power series has no negative or
+// undefined watts). An empty trace is valid; At reads it as 0.
+func (t *Trace) Validate() error {
+	if t.Step <= 0 {
+		return fmt.Errorf("%w: %v", ErrBadStep, t.Step)
+	}
+	for i, v := range t.Values {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("%w: sample %d is %v", ErrBadSample, i, v)
+		}
+	}
+	return nil
 }
 
 // Len reports the number of samples.
@@ -127,19 +146,13 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 // ReadCSV parses a trace written by WriteCSV. Name and step must be
 // supplied by the caller (CSV stores timestamps, not metadata).
 func ReadCSV(r io.Reader, name string, step time.Duration) (*Trace, error) {
-	if step <= 0 {
-		return nil, fmt.Errorf("%w: %v", ErrBadStep, step)
-	}
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
 	if err != nil {
 		return nil, fmt.Errorf("trace: read csv: %w", err)
 	}
-	if len(rows) < 1 {
-		return nil, ErrEmpty
-	}
 	tr := &Trace{Name: name, Step: step}
-	for i, row := range rows[1:] {
+	for i, row := range rows[min(1, len(rows)):] {
 		if len(row) != 3 {
 			return nil, fmt.Errorf("trace: row %d: want 3 fields, got %d", i, len(row))
 		}
@@ -155,6 +168,12 @@ func ReadCSV(r io.Reader, name string, step time.Duration) (*Trace, error) {
 			return nil, fmt.Errorf("trace: row %d value: %w", i, err)
 		}
 		tr.Values = append(tr.Values, v)
+	}
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	if len(rows) < 1 {
+		return nil, ErrEmpty
 	}
 	return tr, nil
 }
@@ -183,12 +202,15 @@ func (t *Trace) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &tj); err != nil {
 		return fmt.Errorf("trace: unmarshal: %w", err)
 	}
-	if tj.StepMillis <= 0 {
-		return fmt.Errorf("%w: %dms", ErrBadStep, tj.StepMillis)
+	tr := Trace{
+		Name:   tj.Name,
+		Start:  tj.Start,
+		Step:   time.Duration(tj.StepMillis) * time.Millisecond,
+		Values: tj.Values,
 	}
-	t.Name = tj.Name
-	t.Start = tj.Start
-	t.Step = time.Duration(tj.StepMillis) * time.Millisecond
-	t.Values = tj.Values
+	if err := tr.Validate(); err != nil {
+		return err
+	}
+	*t = tr
 	return nil
 }

@@ -30,6 +30,57 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestValidate pins a trace's rule table: a positive step and finite,
+// non-negative samples. An empty trace is valid and reads as 0 W.
+func TestValidate(t *testing.T) {
+	tests := []struct {
+		name   string
+		step   time.Duration
+		values []float64
+		want   error
+	}{
+		{"ok", 15 * time.Minute, []float64{0, 1.5, 700}, nil},
+		{"negative zero", time.Minute, []float64{math.Copysign(0, -1)}, nil},
+		{"empty", time.Minute, nil, nil},
+		{"zero step", 0, []float64{1}, ErrBadStep},
+		{"negative step", -time.Second, nil, ErrBadStep},
+		{"NaN", time.Minute, []float64{1, math.NaN()}, ErrBadSample},
+		{"+Inf", time.Minute, []float64{math.Inf(1)}, ErrBadSample},
+		{"-Inf", time.Minute, []float64{math.Inf(-1)}, ErrBadSample},
+		{"negative", time.Minute, []float64{3, -1}, ErrBadSample},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			tr := &Trace{Step: tt.step, Values: tt.values}
+			if err := tr.Validate(); !errors.Is(err, tt.want) {
+				t.Errorf("Validate() = %v, want %v", err, tt.want)
+			}
+			if _, err := New("x", t0, tt.step, tt.values); !errors.Is(err, tt.want) {
+				t.Errorf("New err = %v, want %v", err, tt.want)
+			}
+		})
+	}
+	empty := &Trace{Step: time.Minute}
+	if err := empty.Validate(); err != nil || empty.At(3) != 0 {
+		t.Errorf("empty trace: Validate() = %v, At(3) = %v; want valid and 0", err, empty.At(3))
+	}
+}
+
+// TestCodecsValidate: both decoders reject a trace Validate rejects.
+func TestCodecsValidate(t *testing.T) {
+	for _, v := range []string{"NaN", "-1", "+Inf"} {
+		csv := "index,timestamp,value\n0,2021-06-01T00:00:00Z," + v + "\n"
+		if _, err := ReadCSV(strings.NewReader(csv), "x", time.Minute); !errors.Is(err, ErrBadSample) {
+			t.Errorf("ReadCSV sample %s: err = %v, want ErrBadSample", v, err)
+		}
+	}
+	var got Trace
+	err := json.Unmarshal([]byte(`{"name":"x","stepMillis":1000,"values":[1,-2]}`), &got)
+	if !errors.Is(err, ErrBadSample) {
+		t.Errorf("JSON negative sample: err = %v, want ErrBadSample", err)
+	}
+}
+
 func TestNewCopiesValues(t *testing.T) {
 	src := []float64{1, 2, 3}
 	tr := mustNew(t, src)
@@ -67,7 +118,8 @@ func TestAtClamping(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	tr := mustNew(t, []float64{4, -2, 10})
+	// New rejects a negative sample; Summarize itself takes any values.
+	tr := &Trace{Name: "test", Start: t0, Step: 15 * time.Minute, Values: []float64{4, -2, 10}}
 	s, err := tr.Summarize()
 	if err != nil {
 		t.Fatal(err)
