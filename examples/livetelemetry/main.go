@@ -121,9 +121,9 @@ func run() error {
 			return err
 		}
 		// Enforce the SPC decision over the wire.
-		targets := make([]livenode.InstructionTarget, 0, len(dec.Instructions))
-		for _, ins := range dec.Instructions {
-			targets = append(targets, livenode.InstructionTarget{ServerID: ins.ServerID, TargetW: ins.TargetW})
+		targets, err := livenode.Targets(rack, dec)
+		if err != nil {
+			return err
 		}
 		if err := livenode.Enforce(ctx, groupAddrs, targets, 2*time.Second); err != nil {
 			return err

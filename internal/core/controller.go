@@ -9,7 +9,10 @@
 //  4. otherwise asks the configured policy for the power allocation
 //     ratio (PAR) over the predicted supply (line 7),
 //  5. enforces the decision: the PSC switches sources against the live
-//     battery and the SPC maps per-server budgets to DVFS states, and
+//     battery and the PAR is checked against the rack. Mapping each
+//     per-server budget to a DVFS state (the SPC) is the live
+//     actuator's step, enforcer.SPC.Instructions: the simulator scores
+//     the continuous budget and never reads a state, and
 //  6. optionally folds runtime feedback samples back into the database
 //     (lines 8–10, GreenHetero's adaptive optimization).
 //
@@ -91,7 +94,6 @@ type Controller struct {
 	renewable timeseries.Predictor
 	demand    timeseries.Predictor
 	psc       *enforcer.PSC
-	spc       enforcer.SPC
 	epochIdx  int
 	// recovering latches after the bank hits its DoD floor and holds
 	// until the charge recovers, so the bank recharges cleanly instead
@@ -100,12 +102,16 @@ type Controller struct {
 	// groups caches Rack.Groups() (immutable after construction) so the
 	// per-epoch paths do not re-copy the slice.
 	groups []server.Group
+	// keys and entries hold each group's database key for the current
+	// workloads and its projection, refilled in place by one
+	// ProjectionsInto per Step (and per bid): the policy, the Case A
+	// demand shares and the bid all read entries.
+	keys    []profiledb.Key
+	entries []profiledb.Entry
 	// scratch is the policy layer's reusable per-epoch working memory
-	// (projection entries, solver models, the warm solver cache). Owned
-	// by this controller, so it is never shared across goroutines.
+	// (solver models, the warm solver cache). Owned by this controller,
+	// so it is never shared across goroutines.
 	scratch *policy.Scratch
-	// bidEntry backs BelievedDemandW's projection lookups.
-	bidEntry profiledb.Entry
 	// tryFn is cfg.TryAllocation bound once, in New, to the supply that
 	// allocate stores in trySupplyW, so an epoch builds no closure.
 	tryFn      func(fractions []float64) (float64, error)
@@ -161,12 +167,15 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	groups := cfg.Rack.Groups()
 	c := &Controller{
 		cfg:       cfg,
 		renewable: ren,
 		demand:    dem,
 		psc:       psc,
-		groups:    cfg.Rack.Groups(),
+		groups:    groups,
+		keys:      make([]profiledb.Key, len(groups)),
+		entries:   make([]profiledb.Entry, len(groups)),
 		scratch:   policy.NewScratch(),
 	}
 	if cfg.TryAllocation != nil {
@@ -192,10 +201,10 @@ type Decision struct {
 	Execution enforcer.Execution
 	// SupplyW is the power actually delivered to the servers.
 	SupplyW float64
-	// Fractions is the PAR vector applied (one per rack group).
+	// Fractions is the PAR vector applied (one per rack group). A live
+	// actuator maps it to DVFS states with
+	// enforcer.SPC.Instructions(rack, Fractions, SupplyW).
 	Fractions []float64
-	// Instructions are the SPC's per-group DVFS decisions.
-	Instructions []enforcer.Instruction
 	// TrainingRun reports whether this epoch ran a training run
 	// instead of a policy allocation.
 	TrainingRun bool
@@ -237,7 +246,8 @@ type Observation struct {
 // workload) pair either way. Step is the epoch hot path and is under the
 // allocfree contract; the genuinely-cold branches — training runs, Case
 // A demand shares, the zero-supply epoch — carry reasoned suppressions
-// that enumerate the per-epoch allocation budget.
+// that enumerate the per-epoch allocation budget: one budgeted
+// allocation per rack epoch, the solver's Fractions.
 //
 // ghlint:allocfree
 func (c *Controller) Step(obs Observation, groupWs []workload.Workload) (Decision, error) {
@@ -261,8 +271,9 @@ func (c *Controller) Step(obs Observation, groupWs []workload.Workload) (Decisio
 	d.PredictedRenewableW = c.forecast(c.renewable, obsRenewableW)
 	d.PredictedDemandW = c.forecast(c.demand, obsDemandW)
 
-	// 2. Training runs for unprofiled pairs (Algorithm 1 lines 3–5).
-	trained, err := c.ensureProfiled(groupWs) //lint:ghlint ignore allocfree training is the cold profiling path, once per new (server, workload) pair
+	// 2. Fetch every group's projection, training unprofiled pairs first
+	// (Algorithm 1 lines 3–5).
+	trained, err := c.profile(groupWs)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -303,9 +314,9 @@ func (c *Controller) Step(obs Observation, groupWs []workload.Workload) (Decisio
 	switch {
 	case planned.Case == power.CaseA:
 		d.Unconstrained = true
-		d.Fractions = c.demandShares(groupWs)
+		d.Fractions = c.demandShares()
 	case predictedSupply > 0:
-		fractions, err := c.allocate(groupWs, predictedSupply)
+		fractions, err := c.allocate(predictedSupply)
 		if err != nil {
 			return Decision{}, err
 		}
@@ -335,11 +346,9 @@ func (c *Controller) Step(obs Observation, groupWs []workload.Workload) (Decisio
 	d.SupplyW = exec.SupplyW
 
 	if d.SupplyW > 0 {
-		ins, err := c.spc.Instructions(c.cfg.Rack, d.Fractions, d.SupplyW)
-		if err != nil {
-			return Decision{}, fmt.Errorf("core: instructions: %w", err)
+		if err := enforcer.ValidatePAR(d.Fractions, len(c.groups)); err != nil {
+			return Decision{}, fmt.Errorf("core: enforce: %w", err)
 		}
-		d.Instructions = ins
 	}
 
 	// 6. Feed the predictors (observations become history). Stale
@@ -368,50 +377,66 @@ func (c *Controller) forecast(h timeseries.Predictor, fallback float64) float64 
 	return v
 }
 
-// ensureProfiled runs training runs for any rack group missing a database
-// entry for its workload. Returns whether any training ran this epoch.
-func (c *Controller) ensureProfiled(groupWs []workload.Workload) (bool, error) {
-	var trained bool
+// setKeys keys each group to its workload in c.keys.
+//
+// ghlint:allocfree
+func (c *Controller) setKeys(groupWs []workload.Workload) {
 	for i := range c.groups {
-		g := &c.groups[i]
-		k := profiledb.Key{ServerID: g.Spec.ID, WorkloadID: groupWs[i].ID}
-		if c.cfg.DB.Has(k) {
-			continue
+		c.keys[i] = profiledb.Key{ServerID: c.groups[i].Spec.ID, WorkloadID: groupWs[i].ID}
+	}
+}
+
+// profile fills c.entries with every group's projection for groupWs.
+// A profiled rack takes one ProjectionsInto; a miss runs a training
+// run for that pair and refetches from it, so pairs train in group
+// order. Returns whether any training ran this epoch.
+//
+// ghlint:allocfree
+func (c *Controller) profile(groupWs []workload.Workload) (bool, error) {
+	c.setKeys(groupWs)
+	trained := false
+	for start := 0; ; {
+		n, err := c.cfg.DB.ProjectionsInto(c.keys[start:], c.entries[start:])
+		if err == nil {
+			return trained, nil
 		}
-		res, err := c.cfg.Prober.TrainingRun(g.Spec, groupWs[i])
-		if err != nil {
-			return trained, fmt.Errorf("core: training run %s: %w", k, err)
-		}
-		peakEff := res.PeakEffW
-		if peakEff <= g.Spec.IdleW {
-			peakEff = g.Spec.PeakW // defensive: degenerate measurement
-		}
-		if err := c.cfg.DB.AddTrainingRun(k, g.Spec.IdleW, peakEff, res.Samples); err != nil {
-			return trained, fmt.Errorf("core: store training run %s: %w", k, err)
+		start += n
+		if err := c.train(start, groupWs[start]); err != nil { //lint:ghlint ignore allocfree training is the cold profiling path, once per new (server, workload) pair
+			return trained, err
 		}
 		trained = true
 	}
-	return trained, nil
 }
 
-// demandShares returns each group's share of the rack's believed demand,
-// from database ranges when profiled, otherwise nameplate peaks. It
-// reads the projections through the reused bidEntry, as
-// BelievedDemandW does.
+// train runs a training run for group i under workload w and stores it
+// in the database.
+func (c *Controller) train(i int, w workload.Workload) error {
+	g := &c.groups[i]
+	k := c.keys[i]
+	res, err := c.cfg.Prober.TrainingRun(g.Spec, w)
+	if err != nil {
+		return fmt.Errorf("core: training run %s: %w", k, err)
+	}
+	peakEff := res.PeakEffW
+	if peakEff <= g.Spec.IdleW {
+		peakEff = g.Spec.PeakW // defensive: degenerate measurement
+	}
+	if err := c.cfg.DB.AddTrainingRun(k, g.Spec.IdleW, peakEff, res.Samples); err != nil {
+		return fmt.Errorf("core: store training run %s: %w", k, err)
+	}
+	return nil
+}
+
+// demandShares returns each group's share of the rack's believed demand
+// at the projections' effective peaks. Step calls it after profile, so
+// every group has an entry.
 //
 // ghlint:allocfree
-func (c *Controller) demandShares(groupWs []workload.Workload) []float64 {
-	groups := c.groups
-	demands := make([]float64, len(groups)) //lint:ghlint ignore allocfree the returned share vector is the Case A epoch's one caller-owned allocation (Decision.Fractions)
+func (c *Controller) demandShares() []float64 {
+	demands := make([]float64, len(c.groups)) //lint:ghlint ignore allocfree the returned share vector is the Case A epoch's one caller-owned allocation (Decision.Fractions)
 	var total float64
-	for i := range groups {
-		g := &groups[i]
-		perServer := g.Spec.PeakW
-		k := profiledb.Key{ServerID: g.Spec.ID, WorkloadID: groupWs[i].ID}
-		if err := c.cfg.DB.ProjectionInto(k, &c.bidEntry); err == nil {
-			perServer = c.bidEntry.PeakEffW
-		}
-		demands[i] = float64(g.Count) * perServer
+	for i := range c.groups {
+		demands[i] = float64(c.groups[i].Count) * c.entries[i].PeakEffW
 		total += demands[i]
 	}
 	if total == 0 {
@@ -424,19 +449,18 @@ func (c *Controller) demandShares(groupWs []workload.Workload) []float64 {
 	return demands
 }
 
-// allocate asks the policy for the PAR vector.
+// allocate asks the policy for the PAR vector over the projections
+// profile fetched.
 //
 // ghlint:allocfree
-func (c *Controller) allocate(groupWs []workload.Workload, supplyW float64) ([]float64, error) {
+func (c *Controller) allocate(supplyW float64) ([]float64, error) {
 	c.trySupplyW = supplyW
 	ctx := policy.Context{
-		Groups:         c.groups,
-		Workload:       groupWs[0],
-		GroupWorkloads: groupWs,
-		SupplyW:        supplyW,
-		DB:             c.cfg.DB,
-		Scratch:        c.scratch,
-		TryAllocation:  c.tryFn,
+		Groups:        c.groups,
+		SupplyW:       supplyW,
+		Entries:       c.entries,
+		Scratch:       c.scratch,
+		TryAllocation: c.tryFn,
 	}
 	fracs, err := c.cfg.Policy.Allocate(ctx) //lint:ghlint ignore allocfree policy dispatch: Solver.Allocate is verified; the baseline policies allocate by design
 	if err != nil {
@@ -495,22 +519,28 @@ func (c *Controller) SetGridBudgetW(w float64) error {
 // groups draw at effective peak, priced from the database's cached
 // projections (nameplate peaks for unprofiled pairs). It reads only
 // controller knowledge — never ground truth — so a site allocator using
-// it stays inside the paper's prediction discipline.
+// it stays inside the paper's prediction discipline. It refetches the
+// projections into the buffer Step uses: the bid follows the epoch's
+// feedback, which may have widened a projection's peak.
 //
 // ghlint:allocfree
 func (c *Controller) BelievedDemandW(groupWs []workload.Workload) (float64, error) {
 	if len(groupWs) != len(c.groups) {
 		return 0, fmt.Errorf("core: bid: %d workloads for %d groups", len(groupWs), len(c.groups))
 	}
+	c.setKeys(groupWs)
 	var total float64
-	for i := range c.groups {
-		g := &c.groups[i]
-		perServer := g.Spec.PeakW
-		k := profiledb.Key{ServerID: g.Spec.ID, WorkloadID: groupWs[i].ID}
-		if err := c.cfg.DB.ProjectionInto(k, &c.bidEntry); err == nil {
-			perServer = c.bidEntry.PeakEffW
+	for start := 0; start < len(c.groups); {
+		n, err := c.cfg.DB.ProjectionsInto(c.keys[start:], c.entries[start:])
+		for i := start; i < start+n; i++ {
+			total += float64(c.groups[i].Count) * c.entries[i].PeakEffW
 		}
-		total += float64(g.Count) * perServer
+		if err == nil {
+			break
+		}
+		miss := &c.groups[start+n]
+		total += float64(miss.Count) * miss.Spec.PeakW
+		start += n + 1
 	}
 	return total, nil
 }

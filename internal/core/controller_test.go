@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"greenhetero/internal/battery"
+	"greenhetero/internal/enforcer"
 	"greenhetero/internal/fit"
 	"greenhetero/internal/policy"
 	"greenhetero/internal/power"
@@ -219,8 +220,8 @@ func TestScarcityAllocatesWithPolicy(t *testing.T) {
 	if dec.Unconstrained {
 		t.Error("scarce epoch must be constrained")
 	}
-	if len(dec.Instructions) != 2 {
-		t.Fatalf("instructions = %d, want 2", len(dec.Instructions))
+	if len(dec.Fractions) != 2 {
+		t.Fatalf("fractions = %v, want one per group", dec.Fractions)
 	}
 	var sum float64
 	for _, f := range dec.Fractions {
@@ -231,6 +232,76 @@ func TestScarcityAllocatesWithPolicy(t *testing.T) {
 	}
 	if dec.SupplyW <= 0 {
 		t.Errorf("supply = %v", dec.SupplyW)
+	}
+}
+
+// fixedPolicy returns a set PAR vector, valid or not.
+type fixedPolicy struct{ fracs []float64 }
+
+func (*fixedPolicy) Name() string    { return "fixed" }
+func (*fixedPolicy) UpdatesDB() bool { return false }
+func (p *fixedPolicy) Allocate(policy.Context) ([]float64, error) {
+	return append([]float64(nil), p.fracs...), nil
+}
+
+// TestStepKeepsPARGuard checks that Step rejects a malformed PAR vector
+// on every supplied epoch with the enforcer's sentinels, and that an
+// epoch which delivers no power skips the check.
+func TestStepKeepsPARGuard(t *testing.T) {
+	w := mustWorkload(t, workload.SPECjbb)
+	for _, tc := range []struct {
+		name  string
+		fracs []float64
+		want  error
+	}{
+		{"sum above one", []float64{0.7, 0.7}, enforcer.ErrBadFraction},
+		{"negative", []float64{-0.1, 0.5}, enforcer.ErrBadFraction},
+		{"wrong length", []float64{1}, enforcer.ErrFractionMismatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t)
+			cfg.Policy = &fixedPolicy{fracs: tc.fracs}
+			ctrl, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := ctrl.Step(Observation{RenewableW: 700, DemandW: 1100}, uniform(ctrl, w))
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Step = %+v, %v; want %v", dec, err, tc.want)
+			}
+		})
+		t.Run(tc.name+"/zero supply", func(t *testing.T) {
+			// A drained bank, no grid and a renewable drop the
+			// forecast misses: the policy runs on the predicted supply,
+			// but nothing is delivered.
+			cfg := testConfig(t)
+			cfg.GridBudgetW = 0
+			if err := cfg.Battery.(*battery.Bank).SetSoC(0.6); err != nil {
+				t.Fatal(err)
+			}
+			p := &fixedPolicy{fracs: []float64{0.5, 0.5}}
+			cfg.Policy = p
+			ctrl, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := 0; e < 2; e++ {
+				if _, err := ctrl.Step(Observation{RenewableW: 500, DemandW: 1100}, uniform(ctrl, w)); err != nil {
+					t.Fatalf("priming epoch %d: %v", e, err)
+				}
+			}
+			p.fracs = tc.fracs
+			dec, err := ctrl.Step(Observation{RenewableW: 0, DemandW: 1100}, uniform(ctrl, w))
+			if err != nil {
+				t.Fatalf("zero-supply epoch: %v", err)
+			}
+			if dec.SupplyW != 0 {
+				t.Fatalf("supply = %v, want 0", dec.SupplyW)
+			}
+			if len(dec.Fractions) != len(tc.fracs) || dec.Fractions[0] != tc.fracs[0] {
+				t.Fatalf("fractions = %v, want the policy's %v", dec.Fractions, tc.fracs)
+			}
+		})
 	}
 }
 
@@ -450,11 +521,11 @@ func TestStepMixedWorkloads(t *testing.T) {
 	}
 	// The database must key the Xeon group to SPECjbb and the i5 group
 	// to Memcached.
-	if !cfg.DB.Has(profiledb.Key{ServerID: server.XeonE52620, WorkloadID: workload.SPECjbb}) {
-		t.Error("missing xeon/specjbb entry")
+	if _, err := cfg.DB.Lookup(profiledb.Key{ServerID: server.XeonE52620, WorkloadID: workload.SPECjbb}); err != nil {
+		t.Errorf("xeon/specjbb entry: %v", err)
 	}
-	if !cfg.DB.Has(profiledb.Key{ServerID: server.CoreI54460, WorkloadID: workload.Memcached}) {
-		t.Error("missing i5/memcached entry")
+	if _, err := cfg.DB.Lookup(profiledb.Key{ServerID: server.CoreI54460, WorkloadID: workload.Memcached}); err != nil {
+		t.Errorf("i5/memcached entry: %v", err)
 	}
 	if cfg.DB.Len() != 2 {
 		t.Errorf("db entries = %d, want 2", cfg.DB.Len())

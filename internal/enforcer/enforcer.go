@@ -2,7 +2,9 @@
 // the Power Source Controller (PSC), which carries out source switching
 // and battery charge/discharge for a planned source mix, and the Server
 // Power Controller (SPC), which turns per-server power budgets into DVFS
-// power-state instructions (§IV-B.4).
+// power-state instructions (§IV-B.4). The SPC is the live actuator's
+// step; the controller checks every supplied epoch's PAR with
+// ValidatePAR, the check the SPC runs first.
 package enforcer
 
 import (
@@ -37,7 +39,34 @@ var (
 	ErrBadFraction = errors.New("enforcer: bad PAR fraction")
 )
 
-// SPC is the Server Power Controller.
+// ValidatePAR checks a PAR vector against a rack of numGroups groups:
+// one fraction per group, each in [0, 1], summing to at most 1. The
+// controller runs it on every supplied epoch, and SPC.Instructions runs
+// it before mapping budgets to states.
+//
+// ghlint:allocfree
+// ghlint:units fractions=frac
+func ValidatePAR(fractions []float64, numGroups int) error {
+	if len(fractions) != numGroups {
+		return fmt.Errorf("%w: %d fractions, %d groups", ErrFractionMismatch, len(fractions), numGroups)
+	}
+	var sum float64
+	for i, f := range fractions {
+		if f < 0 || f > 1 {
+			return fmt.Errorf("%w: fractions[%d] = %v", ErrBadFraction, i, f)
+		}
+		sum += f
+	}
+	if sum > 1+1e-9 {
+		return fmt.Errorf("%w: sum %v > 1", ErrBadFraction, sum)
+	}
+	return nil
+}
+
+// SPC is the Server Power Controller. The simulator scores the hidden
+// truth at the continuous per-server budget and never reads DVFS
+// states, so the SPC is the live actuator's step: it runs where a
+// decision is pushed to real servers.
 type SPC struct{}
 
 // Instructions maps a PAR vector over a rack into per-group power states:
@@ -45,23 +74,12 @@ type SPC struct{}
 // and each server is set to the state selected by the paper's linear
 // power→state mapping.
 //
-// ghlint:allocfree
 // ghlint:units fractions=frac supplyW=W
 func (SPC) Instructions(rack *server.Rack, fractions []float64, supplyW float64) ([]Instruction, error) {
-	if len(fractions) != rack.NumGroups() {
-		return nil, fmt.Errorf("%w: %d fractions, %d groups", ErrFractionMismatch, len(fractions), rack.NumGroups())
+	if err := ValidatePAR(fractions, rack.NumGroups()); err != nil {
+		return nil, err
 	}
-	var sum float64
-	for i, f := range fractions {
-		if f < 0 || f > 1 {
-			return nil, fmt.Errorf("%w: fractions[%d] = %v", ErrBadFraction, i, f)
-		}
-		sum += f
-	}
-	if sum > 1+1e-9 {
-		return nil, fmt.Errorf("%w: sum %v > 1", ErrBadFraction, sum)
-	}
-	out := make([]Instruction, len(fractions)) //lint:ghlint ignore allocfree the per-epoch instruction slice is the SPC's one budgeted allocation (callers own it)
+	out := make([]Instruction, len(fractions))
 	for i := range out {
 		g := rack.Group(i)
 		perServer := fractions[i] * supplyW / float64(g.Count)

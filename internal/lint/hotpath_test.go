@@ -28,9 +28,9 @@ func TestAllocfreeCoversHotPath(t *testing.T) {
 			"greenhetero/internal/fit.(Accumulator).ReplaceWindow",
 			"greenhetero/internal/fit.(Accumulator).Fit",
 		}},
-		"internal/profiledb": {sites: 3, symbols: []string{
+		"internal/profiledb": {sites: 4, symbols: []string{
 			"greenhetero/internal/profiledb.(DB).AddFeedback",
-			"greenhetero/internal/profiledb.(DB).ProjectionInto",
+			"greenhetero/internal/profiledb.(DB).ProjectionsInto",
 		}},
 		"internal/solver": {sites: 1, symbols: []string{
 			"greenhetero/internal/solver.(Warm).Optimize",

@@ -166,9 +166,9 @@ func TestClosedLoopDegradedMinority(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d: controller: %v", epoch, err)
 		}
-		targets := make([]InstructionTarget, 0, len(dec.Instructions))
-		for _, ins := range dec.Instructions {
-			targets = append(targets, InstructionTarget{ServerID: ins.ServerID, TargetW: ins.TargetW})
+		targets, err := Targets(rack, dec)
+		if err != nil {
+			t.Fatalf("epoch %d: targets: %v", epoch, err)
 		}
 		if err := Enforce(ctx, groupAddrs, targets, 2*time.Second); err != nil {
 			t.Fatalf("epoch %d: enforce: %v", epoch, err)

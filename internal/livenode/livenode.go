@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"greenhetero/internal/core"
+	"greenhetero/internal/enforcer"
 	"greenhetero/internal/fit"
 	"greenhetero/internal/server"
 	"greenhetero/internal/telemetry"
@@ -213,6 +214,25 @@ func Enforce(ctx context.Context, groupAddrs map[string][]string, instructions [
 		}
 	}
 	return firstErr
+}
+
+// Targets runs the SPC over a controller decision: it maps the
+// decision's PAR and supply to per-group DVFS instructions
+// (enforcer.SPC.Instructions) and keeps their wire-relevant part. An
+// epoch with no supply yields no targets.
+func Targets(rack *server.Rack, dec core.Decision) ([]InstructionTarget, error) {
+	if dec.SupplyW <= 0 {
+		return nil, nil
+	}
+	ins, err := enforcer.SPC{}.Instructions(rack, dec.Fractions, dec.SupplyW)
+	if err != nil {
+		return nil, fmt.Errorf("livenode: %w", err)
+	}
+	targets := make([]InstructionTarget, len(ins))
+	for i, in := range ins {
+		targets[i] = InstructionTarget{ServerID: in.ServerID, TargetW: in.TargetW}
+	}
+	return targets, nil
 }
 
 // InstructionTarget is the wire-relevant slice of an SPC instruction.

@@ -188,9 +188,9 @@ func TestClosedLoopOverTCP(t *testing.T) {
 			t.Error("first epoch should train over TCP")
 		}
 		// Enforce the SPC decision on every node.
-		targets := make([]InstructionTarget, 0, len(dec.Instructions))
-		for _, ins := range dec.Instructions {
-			targets = append(targets, InstructionTarget{ServerID: ins.ServerID, TargetW: ins.TargetW})
+		targets, err := Targets(rack, dec)
+		if err != nil {
+			t.Fatalf("epoch %d: targets: %v", epoch, err)
 		}
 		if err := Enforce(ctx, addrs, targets, 2*time.Second); err != nil {
 			t.Fatal(err)

@@ -21,32 +21,28 @@ import (
 	"greenhetero/internal/profiledb"
 	"greenhetero/internal/server"
 	"greenhetero/internal/solver"
-	"greenhetero/internal/workload"
 )
 
 // Context carries everything a policy may consult for one decision.
 type Context struct {
 	// Groups are the rack's server groups (sorted, from server.Rack).
 	Groups []server.Group
-	// Workload is the running workload.
-	Workload workload.Workload
-	// GroupWorkloads, when non-nil, assigns each rack group its own
-	// workload (mixed racks); it must have one entry per group. Nil
-	// means every group runs Workload.
-	GroupWorkloads []workload.Workload
 	// SupplyW is the epoch's power supply to split.
 	SupplyW float64
-	// DB is the performance-power database (used by the GreenHetero
-	// family; nil for Uniform).
-	DB *profiledb.DB
+	// Entries holds each group's performance-power database projection
+	// for its workload, in group order (profiledb.DB.ProjectionsInto;
+	// no sample windows). The GreenHetero family reads it; Uniform and
+	// Manual ignore it. The caller owns the slice and may refill it in
+	// place between decisions.
+	Entries []profiledb.Entry
 	// TryAllocation evaluates a candidate PAR vector on the live system
 	// and returns its measured aggregate throughput. Only the Manual
 	// policy uses it — that is exactly how the paper's Manual baseline
 	// works (static trial of every 10 % split).
 	TryAllocation func(fractions []float64) (float64, error)
 	// Scratch, when non-nil, lets the database-driven policies reuse
-	// working memory (projection entries, solver models, the warm solver
-	// buffers) across epochs instead of reallocating per decision. Results
+	// working memory (solver models, the warm solver buffers) across
+	// epochs instead of reallocating per decision. Results
 	// are bit-identical with or without it. A Scratch must not be shared
 	// across concurrent allocations; the controller owns one per run.
 	Scratch *Scratch
@@ -60,28 +56,34 @@ type Context struct {
 // reuse across epochs — or even across different racks — never changes
 // a result.
 type Scratch struct {
-	warm    solver.Warm
-	entries []profiledb.Entry
-	models  []solver.GroupModel
+	warm   solver.Warm
+	models []solver.GroupModel
+	// bound is the backing array the models' Perf methods are bound to.
+	bound *profiledb.Entry
 }
 
 // NewScratch returns an empty Scratch ready for Context use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// ensure sizes the scratch for n groups, binding each model's Perf to
-// its projection entry exactly once per shape change — ProjectionInto
-// then refreshes the entry fields in place each epoch and the bound
-// method value observes them through the pointer.
+// bind returns the scratch models with each Perf bound to its
+// projection entry. The bound method values read the entries through
+// their pointers, so the caller refreshes the entry fields in place
+// each epoch; the models are rebuilt and rebound only when the entries'
+// backing array changes, so a steady epoch allocates nothing here.
 //
 // ghlint:allocfree
-func (sc *Scratch) ensure(n int) {
-	if len(sc.entries) != n {
-		sc.entries = make([]profiledb.Entry, n)
-		sc.models = make([]solver.GroupModel, n)
+func (sc *Scratch) bind(entries []profiledb.Entry) []solver.GroupModel {
+	if sc.bound != &entries[0] {
+		sc.bound = &entries[0]
+		sc.models = nil
+	}
+	if len(sc.models) != len(entries) {
+		sc.models = make([]solver.GroupModel, len(entries))
 		for i := range sc.models {
-			sc.models[i].Perf = sc.entries[i].Predict
+			sc.models[i].Perf = entries[i].Predict
 		}
 	}
+	return sc.models
 }
 
 // Policy decides a PAR vector for one epoch.
@@ -98,10 +100,6 @@ type Policy interface {
 }
 
 var (
-	// ErrNotProfiled is returned when the database lacks an entry for a
-	// (server, workload) pair — the caller must run a training run
-	// first (Algorithm 1 lines 3–5).
-	ErrNotProfiled = errors.New("policy: pair not profiled; training run required")
 	// ErrNoTryAllocation is returned when Manual runs without a live
 	// trial callback.
 	ErrNoTryAllocation = errors.New("policy: manual policy needs a TryAllocation callback")
@@ -225,7 +223,7 @@ func (Prioritized) UpdatesDB() bool { return false }
 // Allocate gives each group, in descending projected throughput-per-watt
 // order, its full demand until the supply runs out.
 func (Prioritized) Allocate(ctx Context) ([]float64, error) {
-	entries, err := dbEntries(ctx)
+	entries, err := ctx.entries()
 	if err != nil {
 		return nil, err
 	}
@@ -280,11 +278,11 @@ func (s Solver) Name() string {
 // UpdatesDB implements Policy.
 func (s Solver) UpdatesDB() bool { return s.Adaptive }
 
-// Allocate runs the PAR optimizer over the database projections through
-// the Context Scratch's warm solver (table-accelerated and pruned,
-// bit-identical to the reference solver.Optimize), reusing its model
-// slice. Without a Scratch it solves through a fresh one, so every call
-// takes the same solve path.
+// Allocate runs the PAR optimizer over the Context's projection entries
+// through the Context Scratch's warm solver (table-accelerated and
+// pruned, bit-identical to the reference solver.Optimize), reusing its
+// model slice. Without a Scratch it solves through a fresh one, so
+// every call takes the same solve path.
 //
 // The annotation covers the Scratch path — the per-epoch hot path. The
 // fresh Scratch hangs off an `== nil` guard, which the analyzer treats
@@ -296,12 +294,12 @@ func (s Solver) Allocate(ctx Context) ([]float64, error) {
 	if ctx.Scratch == nil {
 		ctx.Scratch = NewScratch()
 	}
-	entries, err := dbEntries(ctx)
+	entries, err := ctx.entries()
 	if err != nil {
 		return nil, err
 	}
 	sc := ctx.Scratch
-	models := sc.models
+	models := sc.bind(entries)
 	for i := range ctx.Groups {
 		e := &entries[i]
 		models[i].Count = ctx.Groups[i].Count
@@ -315,57 +313,18 @@ func (s Solver) Allocate(ctx Context) ([]float64, error) {
 	return res.Fractions, nil
 }
 
-// workloadFor resolves group i's workload under the mixed-rack option.
+// entries returns the Context's projection entries after checking that
+// there is one per group.
 //
 // ghlint:allocfree
-func (c Context) workloadFor(i int) (workload.Workload, error) {
-	if c.GroupWorkloads == nil {
-		return c.Workload, nil
-	}
-	if len(c.GroupWorkloads) != len(c.Groups) {
-		return workload.Workload{}, fmt.Errorf("%w: %d group workloads for %d groups",
-			ErrBadContext, len(c.GroupWorkloads), len(c.Groups))
-	}
-	return c.GroupWorkloads[i], nil
-}
-
-// dbEntries fetches the database projection for every group, or
-// ErrNotProfiled. The policies read only the projection fields (bounds,
-// curve, efficiency) — never the sample window — so with a Scratch the
-// entries are refreshed in place with zero steady-state allocations;
-// without one each call builds a fresh slice (the cold `sc == nil`
-// branch).
-//
-// ghlint:allocfree
-func dbEntries(ctx Context) ([]profiledb.Entry, error) {
-	if len(ctx.Groups) == 0 {
+func (c Context) entries() ([]profiledb.Entry, error) {
+	if len(c.Groups) == 0 {
 		return nil, fmt.Errorf("%w: no groups", ErrBadContext)
 	}
-	if ctx.DB == nil {
-		return nil, fmt.Errorf("%w: nil database", ErrBadContext)
+	if len(c.Entries) != len(c.Groups) {
+		return nil, fmt.Errorf("%w: %d projection entries for %d groups", ErrBadContext, len(c.Entries), len(c.Groups))
 	}
-	sc := ctx.Scratch
-	var out []profiledb.Entry
-	if sc == nil {
-		out = make([]profiledb.Entry, len(ctx.Groups))
-	} else {
-		sc.ensure(len(ctx.Groups))
-		out = sc.entries
-	}
-	for i := range ctx.Groups {
-		w, err := ctx.workloadFor(i)
-		if err != nil {
-			return nil, err
-		}
-		k := profiledb.Key{ServerID: ctx.Groups[i].Spec.ID, WorkloadID: w.ID}
-		if err := ctx.DB.ProjectionInto(k, &out[i]); err != nil {
-			if errors.Is(err, profiledb.ErrNotFound) {
-				return nil, fmt.Errorf("%w: %s", ErrNotProfiled, k)
-			}
-			return nil, err
-		}
-	}
-	return out, nil
+	return c.Entries, nil
 }
 
 // All returns the five Table III policies in presentation order.

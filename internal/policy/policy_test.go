@@ -29,6 +29,26 @@ func trainDB(t testing.TB, groups []server.Group, w workload.Workload) *profiled
 	return db
 }
 
+// projections fetches each group's projection for its workload, as the
+// controller does once per epoch: ws holds one workload per group, or
+// one workload for every group.
+func projections(t testing.TB, db *profiledb.DB, groups []server.Group, ws ...workload.Workload) []profiledb.Entry {
+	t.Helper()
+	keys := make([]profiledb.Key, len(groups))
+	for i, g := range groups {
+		w := ws[0]
+		if len(ws) > 1 {
+			w = ws[i]
+		}
+		keys[i] = profiledb.Key{ServerID: g.Spec.ID, WorkloadID: w.ID}
+	}
+	out := make([]profiledb.Entry, len(keys))
+	if _, err := db.ProjectionsInto(keys, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func testGroups(t testing.TB) []server.Group {
 	t.Helper()
 	a, err := server.Lookup(server.XeonE52620)
@@ -63,8 +83,7 @@ func mustWorkload(t testing.TB, id string) workload.Workload {
 
 func TestUniform(t *testing.T) {
 	groups := testGroups(t)
-	w := mustWorkload(t, workload.SPECjbb)
-	fracs, err := Uniform{}.Allocate(Context{Groups: groups, Workload: w, SupplyW: 800})
+	fracs, err := Uniform{}.Allocate(Context{Groups: groups, SupplyW: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +100,7 @@ func TestManualBeatsUniform(t *testing.T) {
 	w := mustWorkload(t, workload.SPECjbb)
 	supply := 800.0
 	ctx := Context{
-		Groups: groups, Workload: w, SupplyW: supply,
+		Groups: groups, SupplyW: supply,
 		TryAllocation: func(fracs []float64) (float64, error) {
 			return truePerf(groups, w, supply, fracs), nil
 		},
@@ -103,8 +122,7 @@ func TestManualBeatsUniform(t *testing.T) {
 
 func TestManualNeedsCallback(t *testing.T) {
 	groups := testGroups(t)
-	w := mustWorkload(t, workload.SPECjbb)
-	_, err := (&Manual{}).Allocate(Context{Groups: groups, Workload: w, SupplyW: 800})
+	_, err := (&Manual{}).Allocate(Context{Groups: groups, SupplyW: 800})
 	if !errors.Is(err, ErrNoTryAllocation) {
 		t.Errorf("err = %v, want ErrNoTryAllocation", err)
 	}
@@ -128,7 +146,7 @@ func TestManualThreeGroups(t *testing.T) {
 	supply := 500.0
 	var trials int
 	ctx := Context{
-		Groups: groups, Workload: w, SupplyW: supply,
+		Groups: groups, SupplyW: supply,
 		TryAllocation: func(fracs []float64) (float64, error) {
 			trials++
 			return truePerf(groups, w, supply, fracs), nil
@@ -149,7 +167,7 @@ func TestPrioritizedOrdering(t *testing.T) {
 	// Supply only enough for the efficient group (i5): the Xeon group
 	// must get (almost) nothing.
 	supply := 5 * 80.0
-	fracs, err := Prioritized{}.Allocate(Context{Groups: groups, Workload: w, SupplyW: supply, DB: db})
+	fracs, err := Prioritized{}.Allocate(Context{Groups: groups, SupplyW: supply, Entries: projections(t, db, groups, w)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +181,14 @@ func TestPrioritizedOrdering(t *testing.T) {
 	}
 }
 
+// TestPrioritizedNotProfiled: a rack whose pairs have no projections
+// yet hands the policy no entries, which it must reject rather than
+// rank.
 func TestPrioritizedNotProfiled(t *testing.T) {
 	groups := testGroups(t)
-	w := mustWorkload(t, workload.SPECjbb)
-	_, err := Prioritized{}.Allocate(Context{Groups: groups, Workload: w, SupplyW: 500, DB: profiledb.New()})
-	if !errors.Is(err, ErrNotProfiled) {
-		t.Errorf("err = %v, want ErrNotProfiled", err)
+	_, err := Prioritized{}.Allocate(Context{Groups: groups, SupplyW: 500})
+	if !errors.Is(err, ErrBadContext) {
+		t.Errorf("err = %v, want ErrBadContext", err)
 	}
 }
 
@@ -177,7 +197,7 @@ func TestSolverPolicyBeatsUniform(t *testing.T) {
 	w := mustWorkload(t, workload.Streamcluster)
 	db := trainDB(t, groups, w)
 	supply := 700.0
-	fracs, err := Solver{Adaptive: true}.Allocate(Context{Groups: groups, Workload: w, SupplyW: supply, DB: db})
+	fracs, err := Solver{Adaptive: true}.Allocate(Context{Groups: groups, SupplyW: supply, Entries: projections(t, db, groups, w)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +210,9 @@ func TestSolverPolicyBeatsUniform(t *testing.T) {
 
 // TestSolverPolicyOneSolvePath pins Solver.Allocate to the reference
 // solver on a three-group rack, bit for bit, whether the Context
-// carries no Scratch (a fresh one per call), a fresh Scratch, or the
-// same Scratch reused for a second solve.
+// carries no Scratch (a fresh one per call), a fresh Scratch, the same
+// Scratch reused for a second solve, or that Scratch handed a new
+// entries array, whose models it must rebind.
 func TestSolverPolicyOneSolvePath(t *testing.T) {
 	var groups []server.Group
 	for _, id := range []string{server.XeonE52620, server.XeonE52603, server.CoreI54460} {
@@ -205,12 +226,10 @@ func TestSolverPolicyOneSolvePath(t *testing.T) {
 	db := trainDB(t, groups, w)
 	const supply = 900.0
 
+	entries := projections(t, db, groups, w)
 	models := make([]solver.GroupModel, len(groups))
 	for i, g := range groups {
-		var e profiledb.Entry
-		if err := db.ProjectionInto(profiledb.Key{ServerID: g.Spec.ID, WorkloadID: w.ID}, &e); err != nil {
-			t.Fatal(err)
-		}
+		e := &entries[i]
 		models[i] = solver.GroupModel{Count: g.Count, IdleW: e.IdleW, PeakEffW: e.PeakEffW, Perf: e.Predict}
 	}
 	want, err := solver.Optimize(models, supply, solver.Options{})
@@ -218,12 +237,18 @@ func TestSolverPolicyOneSolvePath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc := NewScratch()
+	// A decoy rack's entries bind the reused Scratch to another array
+	// first; the rebind must follow the new one.
+	decoy := projections(t, trainDB(t, groups, mustWorkload(t, workload.Memcached)), groups, mustWorkload(t, workload.Memcached))
+	sc, rebound := NewScratch(), NewScratch()
+	if _, err := (Solver{Adaptive: true}).Allocate(Context{Groups: groups, SupplyW: supply, Entries: decoy, Scratch: rebound}); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name    string
 		scratch *Scratch
-	}{{"no scratch", nil}, {"fresh scratch", sc}, {"reused scratch", sc}} {
-		got, err := Solver{Adaptive: true}.Allocate(Context{Groups: groups, Workload: w, SupplyW: supply, DB: db, Scratch: tc.scratch})
+	}{{"no scratch", nil}, {"fresh scratch", sc}, {"reused scratch", sc}, {"rebound scratch", rebound}} {
+		got, err := Solver{Adaptive: true}.Allocate(Context{Groups: groups, SupplyW: supply, Entries: entries, Scratch: tc.scratch})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -254,13 +279,12 @@ func TestSolverPolicyNames(t *testing.T) {
 }
 
 func TestContextValidation(t *testing.T) {
-	w := mustWorkload(t, workload.SPECjbb)
-	if _, err := (Solver{}).Allocate(Context{Workload: w, SupplyW: 100}); !errors.Is(err, ErrBadContext) {
+	if _, err := (Solver{}).Allocate(Context{SupplyW: 100}); !errors.Is(err, ErrBadContext) {
 		t.Errorf("no groups err = %v", err)
 	}
 	groups := testGroups(t)
-	if _, err := (Solver{}).Allocate(Context{Groups: groups, Workload: w, SupplyW: 100}); !errors.Is(err, ErrBadContext) {
-		t.Errorf("nil db err = %v", err)
+	if _, err := (Solver{}).Allocate(Context{Groups: groups, SupplyW: 100}); !errors.Is(err, ErrBadContext) {
+		t.Errorf("no entries err = %v", err)
 	}
 	if _, err := (&Manual{}).Allocate(Context{}); !errors.Is(err, ErrBadContext) {
 		t.Errorf("manual no groups err = %v", err)
@@ -291,7 +315,7 @@ func BenchmarkSolverPolicyAllocate(b *testing.B) {
 	groups := testGroups(b)
 	w := mustWorkload(b, workload.SPECjbb)
 	db := trainDB(b, groups, w)
-	ctx := Context{Groups: groups, Workload: w, SupplyW: 800, DB: db}
+	ctx := Context{Groups: groups, SupplyW: 800, Entries: projections(b, db, groups, w), Scratch: NewScratch()}
 	p := Solver{Adaptive: true}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -308,7 +332,7 @@ func TestManualReplaysCachedBucket(t *testing.T) {
 	supply := 800.0
 	var trials int
 	ctx := Context{
-		Groups: groups, Workload: w, SupplyW: supply,
+		Groups: groups, SupplyW: supply,
 		TryAllocation: func(fracs []float64) (float64, error) {
 			trials++
 			return truePerf(groups, w, supply, fracs), nil
@@ -345,9 +369,8 @@ func TestManualReplaysCachedBucket(t *testing.T) {
 
 func TestManualCallbackErrorPropagates(t *testing.T) {
 	groups := testGroups(t)
-	w := mustWorkload(t, workload.SPECjbb)
 	ctx := Context{
-		Groups: groups, Workload: w, SupplyW: 800,
+		Groups: groups, SupplyW: 800,
 		TryAllocation: func([]float64) (float64, error) {
 			return 0, errors.New("power meter offline")
 		},
@@ -357,16 +380,14 @@ func TestManualCallbackErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestGroupWorkloadsMismatch(t *testing.T) {
+func TestEntriesMismatch(t *testing.T) {
 	groups := testGroups(t)
 	w := mustWorkload(t, workload.SPECjbb)
 	db := trainDB(t, groups, w)
 	ctx := Context{
-		Groups:         groups,
-		Workload:       w,
-		GroupWorkloads: []workload.Workload{w}, // 1 for 2 groups
-		SupplyW:        500,
-		DB:             db,
+		Groups:  groups,
+		SupplyW: 500,
+		Entries: projections(t, db, groups, w)[:1], // 1 for 2 groups
 	}
 	if _, err := (Solver{}).Allocate(ctx); !errors.Is(err, ErrBadContext) {
 		t.Errorf("err = %v, want ErrBadContext", err)
@@ -389,11 +410,9 @@ func TestGroupWorkloadsMixedAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := Context{
-		Groups:         groups,
-		Workload:       jbb,
-		GroupWorkloads: []workload.Workload{jbb, mc},
-		SupplyW:        700,
-		DB:             db,
+		Groups:  groups,
+		SupplyW: 700,
+		Entries: projections(t, db, groups, jbb, mc),
 	}
 	fracs, err := (Solver{Adaptive: true}).Allocate(ctx)
 	if err != nil {

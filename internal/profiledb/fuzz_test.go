@@ -3,11 +3,15 @@ package profiledb
 import (
 	"bytes"
 	"testing"
+
+	"greenhetero/internal/fit"
 )
 
 // FuzzLoad hardens the database decoder behind RestoreFrom: malformed
 // snapshots must error or produce a usable store — never panic, never
-// corrupt Predict.
+// corrupt Predict — and a restored entry must take feedback: one
+// AddFeedback per entry may fail to refit, but must not panic, and
+// must leave at most maxSamples samples.
 func FuzzLoad(f *testing.F) {
 	// Seed with a real snapshot.
 	db := New()
@@ -40,6 +44,14 @@ func FuzzLoad(f *testing.F) {
 				if v := e.Predict(p); v < 0 {
 					t.Fatalf("negative prediction %v", v)
 				}
+			}
+			_ = loaded.AddFeedback(k, fit.Sample{X: (e.IdleW + e.PeakEffW) / 2, Y: 1})
+			after, err := loaded.Lookup(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(after.Samples) > maxSamples {
+				t.Fatalf("%v: %d samples after feedback, cap %d", k, len(after.Samples), maxSamples)
 			}
 		}
 	})

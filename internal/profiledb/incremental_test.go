@@ -1,7 +1,7 @@
 package profiledb
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -147,9 +147,8 @@ func TestAddFeedbackMatchesBatchRefit(t *testing.T) {
 }
 
 // TestAddFeedbackSteadyStateAllocFree pins the per-epoch refit to zero
-// allocations once the window has filled (ISSUE 6 satellite: the
-// fit.Polynomial/solveLinear per-call allocations moved into reused
-// accumulator buffers).
+// allocations once the window has filled: the fit.Polynomial and
+// solveLinear per-call allocations live in reused accumulator buffers.
 func TestAddFeedbackSteadyStateAllocFree(t *testing.T) {
 	k := Key{ServerID: "xeon", WorkloadID: "jbb"}
 	db := New()
@@ -181,71 +180,127 @@ func TestAddFeedbackSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestProjectionMatchesLookup checks the samples-free projection carries
-// exactly the fields Lookup does (minus the window) and that
-// ProjectionInto reuses caller capacity without aliasing the store.
-func TestProjectionMatchesLookup(t *testing.T) {
-	k := Key{ServerID: "xeon", WorkloadID: "jbb"}
+// TestAddFeedbackAfterTrainingAllocFree pins the feedback that fills a
+// freshly trained entry's window to zero allocations, from the first
+// AddFeedback on: the training run allocates the window at full
+// capacity and builds the incremental sums. Each run takes its own
+// newly trained key.
+func TestAddFeedbackAfterTrainingAllocFree(t *testing.T) {
+	const runs = 50
 	db := New()
 	train := []fit.Sample{{X: 40, Y: 100}, {X: 55, Y: 180}, {X: 70, Y: 240}, {X: 85, Y: 280}}
-	if err := db.AddTrainingRun(k, 30, 90, train); err != nil {
+	keys := make([]Key, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range keys {
+		keys[i] = Key{ServerID: "xeon", WorkloadID: fmt.Sprintf("w%d", i)}
+		if err := db.AddTrainingRun(keys[i], 30, 90, train); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fb := make([]fit.Sample, 1)
+	run := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		k := keys[run]
+		run++
+		for i := len(train); i < maxSamples; i++ {
+			x := 40 + float64(i%50)
+			fb[0] = fit.Sample{X: x, Y: 80 + 3*x - 0.011*x*x}
+			if err := db.AddFeedback(k, fb...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("filling a trained window allocates %v per entry, want 0", allocs)
+	}
+}
+
+// TestProjectionMatchesLookup checks that the samples-free multi-key
+// fetch carries exactly the fields Lookup does, minus the window, bit
+// for bit; that it reuses caller capacity without aliasing the store;
+// and that a miss stops at the first missing key with the bare
+// ErrNotFound.
+func TestProjectionMatchesLookup(t *testing.T) {
+	ka := Key{ServerID: "xeon", WorkloadID: "jbb"}
+	kb := Key{ServerID: "i5", WorkloadID: "memcached"}
+	db := New()
+	if err := db.AddTrainingRun(ka, 30, 90, []fit.Sample{{X: 40, Y: 100}, {X: 55, Y: 180}, {X: 70, Y: 240}, {X: 85, Y: 280}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddFeedback(k, fit.Sample{X: 62, Y: 210}); err != nil {
+	if err := db.AddTrainingRun(kb, 20, 60, []fit.Sample{{X: 25, Y: 30}, {X: 35, Y: 70}, {X: 45, Y: 95}, {X: 55, Y: 110}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddFeedback(ka, fit.Sample{X: 62, Y: 210}); err != nil {
 		t.Fatal(err)
 	}
 
-	full, err := db.Lookup(k)
-	if err != nil {
-		t.Fatal(err)
+	keys := []Key{ka, kb}
+	out := make([]Entry, len(keys))
+	if n, err := db.ProjectionsInto(keys, out); n != len(keys) || err != nil {
+		t.Fatalf("ProjectionsInto = %d, %v; want %d, nil", n, err, len(keys))
 	}
-	var proj Entry
-	if err := db.ProjectionInto(k, &proj); err != nil {
-		t.Fatal(err)
+	for i, k := range keys {
+		full, err := db.Lookup(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj := out[i]
+		if proj.Samples != nil {
+			t.Fatalf("projection %d carries %d samples, want none", i, len(proj.Samples))
+		}
+		proj.Samples = full.Samples
+		entriesBitEqual(t, i, proj, &full)
 	}
-	if proj.Samples != nil {
-		t.Fatalf("projection carries %d samples, want none", len(proj.Samples))
-	}
-	proj.Samples = full.Samples
-	entriesBitEqual(t, 0, proj, &full)
 
-	// Reuse path: no allocations once the scratch entry has capacity,
-	// and mutating the scratch never reaches the store.
-	var scratch Entry
-	if err := db.ProjectionInto(k, &scratch); err != nil {
-		t.Fatal(err)
-	}
+	// Reuse path: no allocations once the entries have capacity, and
+	// mutating them never reaches the store.
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := db.ProjectionInto(k, &scratch); err != nil {
+		if _, err := db.ProjectionsInto(keys, out); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ProjectionInto allocates %v per call with warm scratch, want 0", allocs)
+		t.Fatalf("ProjectionsInto allocates %v per call into warm entries, want 0", allocs)
 	}
-	scratch.Curve.Coeffs[0] = -999
-	again, err := db.Lookup(k)
+	out[0].Curve.Coeffs[0] = -999
+	again, err := db.Lookup(ka)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Curve.Coeffs[0] == -999 {
-		t.Fatal("mutating a projection scratch reached the store")
-	}
-
-	if err := db.ProjectionInto(Key{ServerID: "nope", WorkloadID: "nope"}, &scratch); err == nil {
-		t.Fatal("ProjectionInto of missing key must error")
+		t.Fatal("mutating a fetched projection reached the store")
 	}
 
 	// A miss is on the bid path before a rack's first training run: it
-	// returns the bare sentinel and allocates nothing.
+	// fills the entries before the first missing key, reports that
+	// key's index, returns the bare sentinel and allocates nothing.
 	missing := Key{ServerID: "nope", WorkloadID: "nope"}
-	if err := db.ProjectionInto(missing, &scratch); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ProjectionInto miss = %v, want ErrNotFound", err)
+	for _, tc := range []struct {
+		keys []Key
+		want int
+	}{
+		{[]Key{missing, ka}, 0},
+		{[]Key{ka, missing, kb}, 1},
+		{[]Key{ka, kb, missing, missing}, 2},
+	} {
+		got := make([]Entry, len(tc.keys))
+		n, err := db.ProjectionsInto(tc.keys, got)
+		if n != tc.want || err != ErrNotFound { // the bare sentinel, unwrapped
+			t.Fatalf("ProjectionsInto(%v) = %d, %v; want %d, bare ErrNotFound", tc.keys, n, err, tc.want)
+		}
+		for i := 0; i < n; i++ {
+			if got[i].Key != tc.keys[i] {
+				t.Fatalf("ProjectionsInto(%v): entry %d = %v, want it filled", tc.keys, i, got[i].Key)
+			}
+		}
+		if got[n].Key != (Key{}) {
+			t.Fatalf("ProjectionsInto(%v) filled the missing key's entry", tc.keys)
+		}
 	}
+	missKeys := []Key{ka, missing}
 	allocs = testing.AllocsPerRun(100, func() {
-		_ = db.ProjectionInto(missing, &scratch)
+		_, _ = db.ProjectionsInto(missKeys, out)
 	})
 	if allocs != 0 {
-		t.Fatalf("ProjectionInto allocates %v per miss, want 0", allocs)
+		t.Fatalf("ProjectionsInto allocates %v per miss, want 0", allocs)
 	}
 }

@@ -41,17 +41,11 @@ func TestLookupNotFound(t *testing.T) {
 	if _, err := db.Lookup(testKey); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
-	if db.Has(testKey) {
-		t.Error("Has on empty db")
-	}
 }
 
 func TestAddTrainingRunAndPredict(t *testing.T) {
 	db := New()
 	mustTrain(t, db, testKey)
-	if !db.Has(testKey) {
-		t.Fatal("entry missing after training run")
-	}
 	e, err := db.Lookup(testKey)
 	if err != nil {
 		t.Fatal(err)
