@@ -93,7 +93,7 @@ func (a *Accumulator) ReplaceWindow(window []Sample) {
 // sums. The returned Poly's Coeffs alias an internal buffer that remains
 // valid until the next successful Fit — callers that retain
 // coefficients across fits must copy them (profiledb's
-// Lookup/Save/ProjectionInto all do).
+// Lookup/Save/ProjectionsInto all do).
 //
 // ghlint:allocfree
 func (a *Accumulator) Fit(degree int) (Poly, error) {
