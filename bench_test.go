@@ -18,6 +18,7 @@ import (
 	"greenhetero/internal/cluster"
 	"greenhetero/internal/experiments"
 	"greenhetero/internal/policy"
+	"greenhetero/internal/scenario"
 	"greenhetero/internal/server"
 	"greenhetero/internal/sim"
 	"greenhetero/internal/solar"
@@ -219,6 +220,29 @@ func BenchmarkFleetComb5(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*racks*cfg.Epochs)/b.Elapsed().Seconds(), "rack-epochs/sec")
+}
+
+// BenchmarkFleetSetupStorm1000 times cluster.NewFleet on the committed
+// storm-1000 scenario, one fleet set-up per iteration: validation, the
+// site bank and the 1000 rack sessions (each seeding its own noise
+// stream) built through the runner pool. The scenario is parsed and
+// built once, outside the timer.
+func BenchmarkFleetSetupStorm1000(b *testing.B) {
+	sc, err := scenario.LoadFile("scenarios/storm-1000.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := sc.BuildStorm()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cluster.NewFleet(st.Fleet); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkFullEvaluation runs every registered experiment once per

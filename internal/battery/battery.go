@@ -124,17 +124,18 @@ type Bank struct {
 // New validates cfg and returns a bank at full charge (the paper
 // initializes the battery to its maximal state, §V-B.1).
 func New(cfg Config) (*Bank, error) {
-	if cfg.CapacityWh <= 0 {
+	// The negated comparisons also reject NaN.
+	if !(cfg.CapacityWh > 0) || math.IsInf(cfg.CapacityWh, 1) {
 		return nil, fmt.Errorf("%w: capacity %v", ErrBadConfig, cfg.CapacityWh)
 	}
-	if cfg.DepthOfDischarge <= 0 || cfg.DepthOfDischarge > 1 {
+	if !(cfg.DepthOfDischarge > 0 && cfg.DepthOfDischarge <= 1) {
 		return nil, fmt.Errorf("%w: DoD %v", ErrBadConfig, cfg.DepthOfDischarge)
 	}
-	if cfg.Efficiency <= 0 || cfg.Efficiency > 1 {
+	if !(cfg.Efficiency > 0 && cfg.Efficiency <= 1) {
 		return nil, fmt.Errorf("%w: efficiency %v", ErrBadConfig, cfg.Efficiency)
 	}
-	if cfg.MaxChargeW < 0 || cfg.MaxDischargeW < 0 {
-		return nil, fmt.Errorf("%w: negative power cap", ErrBadConfig)
+	if !(cfg.MaxChargeW >= 0 && cfg.MaxDischargeW >= 0) {
+		return nil, fmt.Errorf("%w: negative or NaN power cap", ErrBadConfig)
 	}
 	// The floor comparisons need a tolerance for accumulated charge
 	// arithmetic rounding. A fixed 1e-9 Wh drops below one float64 ULP
@@ -224,7 +225,7 @@ func (b *Bank) AcceptableChargeW(d time.Duration) float64 {
 // band [1−DoD, 1]; setting the floor marks a completed cycle boundary so
 // subsequent discharges count cycles correctly.
 func (b *Bank) SetSoC(frac float64) error {
-	if frac < 0 || frac > 1 {
+	if !(frac >= 0 && frac <= 1) {
 		return fmt.Errorf("%w: SoC %v", ErrBadConfig, frac)
 	}
 	wh := b.cfg.CapacityWh * frac

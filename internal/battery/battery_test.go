@@ -28,6 +28,11 @@ func TestNewValidation(t *testing.T) {
 		{"zero efficiency", Config{CapacityWh: 100, DepthOfDischarge: 0.4}},
 		{"efficiency over 1", Config{CapacityWh: 100, DepthOfDischarge: 0.4, Efficiency: 1.2}},
 		{"negative cap", Config{CapacityWh: 100, DepthOfDischarge: 0.4, Efficiency: 0.8, MaxChargeW: -1}},
+		{"NaN capacity", Config{CapacityWh: math.NaN(), DepthOfDischarge: 0.4, Efficiency: 0.8}},
+		{"infinite capacity", Config{CapacityWh: math.Inf(1), DepthOfDischarge: 0.4, Efficiency: 0.8}},
+		{"NaN dod", Config{CapacityWh: 100, DepthOfDischarge: math.NaN(), Efficiency: 0.8}},
+		{"NaN efficiency", Config{CapacityWh: 100, DepthOfDischarge: 0.4, Efficiency: math.NaN()}},
+		{"NaN cap", Config{CapacityWh: 100, DepthOfDischarge: 0.4, Efficiency: 0.8, MaxDischargeW: math.NaN()}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -35,6 +40,15 @@ func TestNewValidation(t *testing.T) {
 				t.Errorf("err = %v, want ErrBadConfig", err)
 			}
 		})
+	}
+}
+
+func TestSetSoCValidation(t *testing.T) {
+	b := mustNew(t, DefaultConfig())
+	for _, frac := range []float64{-0.1, 1.1, math.NaN()} {
+		if err := b.SetSoC(frac); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("SetSoC(%v) err = %v, want ErrBadConfig", frac, err)
+		}
 	}
 }
 

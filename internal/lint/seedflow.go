@@ -22,10 +22,12 @@ var SeedflowAnalyzer = &Analyzer{
 }
 
 // seedConstructors maps rand package → the constructor functions whose
-// arguments are seeds.
+// arguments are seeds. sim's newCountingSource is math/rand's generator
+// kept in-package: each rack session's noise stream is seeded there.
 var seedConstructors = map[string]map[string]bool{
-	"math/rand":    {"NewSource": true},
-	"math/rand/v2": {"NewPCG": true, "NewSource": true},
+	"math/rand":                {"NewSource": true},
+	"math/rand/v2":             {"NewPCG": true, "NewSource": true},
+	"greenhetero/internal/sim": {"newCountingSource": true},
 }
 
 func runSeedflow(pass *Pass) {

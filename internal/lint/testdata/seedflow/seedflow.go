@@ -49,3 +49,13 @@ func good(cfg Config, i int) *rand.Rand {
 func suppressed(i int) rand.Source {
 	return rand.NewSource(int64(i)) //lint:ghlint ignore seedflow fixture: deliberate raw seed
 }
+
+// newCountingSource stands in for sim's in-package math/rand generator,
+// registered as a seed constructor (fixtures load as the sim package).
+func newCountingSource(seed int64) rand.Source { return rand.NewSource(seed) }
+
+func countingSources(cfg Config, i int) {
+	_ = newCountingSource(cfg.Seed)
+	_ = newCountingSource(7)                   // want "seed for greenhetero/internal/sim.newCountingSource is not derived"
+	_ = newCountingSource(cfg.Seed ^ int64(i)) // want "seed for greenhetero/internal/sim.newCountingSource is not derived"
+}

@@ -176,7 +176,7 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.InitialSoC == 0 {
 		out.InitialSoC = 1
 	}
-	if out.InitialSoC < 0 || out.InitialSoC > 1 {
+	if !(out.InitialSoC >= 0 && out.InitialSoC <= 1) {
 		return out, fmt.Errorf("%w: initial SoC %v", ErrBadConfig, out.InitialSoC)
 	}
 	return out, nil

@@ -90,6 +90,7 @@ func TestRunValidation(t *testing.T) {
 		{"NaN grid", func(c *Config) { c.GridBudgetW = math.NaN() }},
 		{"empty workload", func(c *Config) { c.Workload = workload.Workload{} }},
 		{"bad soc", func(c *Config) { c.InitialSoC = 2 }},
+		{"NaN soc", func(c *Config) { c.InitialSoC = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

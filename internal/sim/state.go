@@ -15,39 +15,148 @@ import (
 	"greenhetero/internal/trace"
 )
 
-// countingSource wraps the session's seeded RNG source and counts state
-// advances. math/rand's internal state is not exportable, but its
-// generator advances exactly one step per Int63 or Uint64 call, so the
-// draw count alone reconstructs the stream position: restore = fresh
-// source from the same seed, then discard that many draws. This is what
-// makes a recovered session's noise stream — and therefore everything
-// downstream of it — bit-identical to the uninterrupted run's.
+// countingSource is the session's noise stream: math/rand's additive
+// lagged-Fibonacci generator (a 607-word register with tap 273, seeded
+// through the 48271 Lehmer LCG and math/rand's cooked XOR vector), kept
+// in this package so that seeding is cheap and every state advance is
+// counted. TestSourceMatchesMathRand pins it to rand.NewSource's output
+// bit for bit. The generator advances exactly one step per Int63 or
+// Uint64 call, so the draw count alone reconstructs the stream
+// position: restore = fresh source from the same seed, then discard
+// that many draws. This is what makes a recovered session's noise
+// stream — and therefore everything downstream of it — bit-identical to
+// the uninterrupted run's.
 type countingSource struct {
-	src   rand.Source64
-	draws uint64
+	tap, feed int // register indices of the last draw's two terms
+	vec       [rngLen]int64
+	draws     uint64 // state advances since Seed
+}
+
+const (
+	rngLen  = 607
+	rngTap  = 273
+	rngMask = 1<<63 - 1
+	// lcgMod is the seeding LCG's modulus 2³¹−1; each seeding draw is
+	// 48271 times the last, mod lcgMod.
+	lcgMod = 1<<31 - 1
+	// seedSkip draws are discarded before the register is filled with
+	// three draws per word.
+	seedSkip = 20
+)
+
+// lcgPow[i] holds 48271^k mod 2³¹−1 for k = 21+3i, 22+3i, 23+3i: the
+// seeding draws that fill register word i are then x·lcgPow[i][j] mod
+// 2³¹−1 for start value x, independent multiplies instead of a serial
+// chain of 1,841 steps.
+var lcgPow = func() (p [rngLen][3]uint64) {
+	x := uint64(1)
+	for k := 0; k < seedSkip; k++ {
+		x = mulMod(x, 48271)
+	}
+	for i := range p {
+		for j := range p[i] {
+			x = mulMod(x, 48271)
+			p[i][j] = x
+		}
+	}
+	return p
+}()
+
+// rngCooked is math/rand's XOR vector for the seeded register (its
+// rngCooked table), recovered from the standard source itself.
+var rngCooked = recoverCooked(1)
+
+// mulMod returns a·b mod 2³¹−1 for a, b in [1, 2³¹−2], by Mersenne
+// reduction of the 62-bit product. The result is never 0 (the modulus
+// is prime), so one conditional subtraction suffices.
+func mulMod(a, b uint64) uint64 {
+	t := a * b
+	r := t&lcgMod + t>>31
+	if r >= lcgMod {
+		r -= lcgMod
+	}
+	return r
+}
+
+// lcgStart maps a seed onto the seeding LCG's start value in
+// [1, 2³¹−2], as math/rand does.
+func lcgStart(seed int64) uint64 {
+	seed %= lcgMod
+	if seed < 0 {
+		seed += lcgMod
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	return uint64(seed)
+}
+
+// seedRegister sets reg[i] to the seeding LCG's part of register word
+// i for start value x — its three draws packed at bits 40, 20 and 0 —
+// XORed with mask[i].
+func seedRegister(reg *[rngLen]int64, x uint64, mask *[rngLen]int64) {
+	for i := range reg {
+		p := &lcgPow[i]
+		reg[i] = int64(mulMod(x, p[0])<<40^mulMod(x, p[1])<<20^mulMod(x, p[2])) ^ mask[i]
+	}
+}
+
+// recoverCooked returns math/rand's cooked XOR vector, read back from
+// rand.NewSource(seed): after rngLen draws every register word has been
+// overwritten once with the draw it produced, so the register is known;
+// undoing the rngLen additions newest first gives the seeded register,
+// and removing the seed's LCG words leaves the cooked vector. Any seed
+// gives the same vector.
+func recoverCooked(seed int64) (cooked [rngLen]int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	var reg [rngLen]int64
+	tap, feed := 0, rngLen-rngTap
+	for n := 0; n < rngLen; n++ {
+		tap = (tap + rngLen - 1) % rngLen
+		feed = (feed + rngLen - 1) % rngLen
+		reg[feed] = int64(src.Uint64())
+	}
+	for n := 0; n < rngLen; n++ {
+		reg[feed] -= reg[tap]
+		tap = (tap + 1) % rngLen
+		feed = (feed + 1) % rngLen
+	}
+	seedRegister(&cooked, lcgStart(seed), &reg)
+	return cooked
 }
 
 func newCountingSource(seed int64) *countingSource {
-	// rand.NewSource's concrete type has implemented Source64 since
-	// Go 1.8; the assertion is load-bearing for the draw accounting.
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	c := new(countingSource)
+	c.Seed(seed)
+	return c
 }
 
 // Int63 implements rand.Source.
 func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
+	return int64(c.Uint64() & rngMask)
 }
 
 // Uint64 implements rand.Source64.
 func (c *countingSource) Uint64() uint64 {
 	c.draws++
-	return c.src.Uint64()
+	c.tap--
+	if c.tap < 0 {
+		c.tap += rngLen
+	}
+	c.feed--
+	if c.feed < 0 {
+		c.feed += rngLen
+	}
+	x := c.vec[c.feed] + c.vec[c.tap]
+	c.vec[c.feed] = x
+	return uint64(x)
 }
 
 // Seed implements rand.Source.
 func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
+	seedRegister(&c.vec, lcgStart(seed), &rngCooked)
+	c.tap = 0
+	c.feed = rngLen - rngTap
 	c.draws = 0
 }
 
@@ -191,7 +300,6 @@ func (s *Session) RestoreState(st *State) error {
 	for i := uint64(0); i < st.RNGDraws; i++ {
 		src.Uint64()
 	}
-	src.draws = st.RNGDraws
 	rng := rand.New(src)
 	s.src = src
 	s.rng = rng
